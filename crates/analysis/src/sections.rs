@@ -306,7 +306,9 @@ pub fn s6_3(agg: &NotaryAggregate) -> Table {
     }
     let total: u64 = lifetime.values().sum();
     let mut rows: Vec<(u16, u64)> = lifetime.into_iter().collect();
-    rows.sort_by_key(|(_, n)| std::cmp::Reverse(*n));
+    // Ties in count go to the lower group id, so the listed curves do
+    // not depend on hash-map order.
+    rows.sort_by_key(|&(curve, n)| (std::cmp::Reverse(n), curve));
     let mut t = Table::new(
         "s6.3",
         "Negotiated curves (paper: secp256r1 84.4%, secp384r1 8.6%, x25519 6.7%, sect571r1 0.2%, secp521r1 0.1%; x25519 22.2% in 2018-02)",
@@ -518,4 +520,25 @@ pub fn censys_series(scans: &[ScanSnapshot]) -> Figure {
         grab(|s| s.export_supported),
     ));
     fig
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tlscope_notary::MonthlyStats;
+
+    #[test]
+    fn s6_3_breaks_count_ties_by_group_id() {
+        let mut stats = MonthlyStats::default();
+        // x25519 (29) and secp256r1 (23) tie; secp384r1 (24) leads.
+        for (curve, n) in [(29u16, 5u64), (24, 10), (23, 5)] {
+            stats.curves.insert(curve, n);
+        }
+        let mut agg = NotaryAggregate::new();
+        agg.insert_month(Month::ym(2016, 1), stats);
+        let t = s6_3(&agg);
+        let names: Vec<&str> = t.rows.iter().map(|r| r[0].as_str()).collect();
+        assert_eq!(names, ["secp384r1", "secp256r1", "x25519"]);
+        assert_eq!(t.rows[1][1], "25.00%");
+    }
 }

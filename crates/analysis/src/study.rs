@@ -11,7 +11,7 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use tlscope_obs::Progress;
@@ -35,7 +35,8 @@ pub struct StudyConfig {
     pub start: Month,
     /// Last month of the passive window (paper: 2018-04).
     pub end: Month,
-    /// Ingestion worker threads (1 = serial).
+    /// Ingestion worker threads (1 = serial); defaults to the
+    /// machine's available parallelism.
     pub workers: usize,
     /// Tap fault injection.
     pub faults: FaultInjector,
@@ -56,6 +57,14 @@ pub struct StudyConfig {
     pub scan_checkpoint_dir: Option<PathBuf>,
 }
 
+/// The machine's available parallelism (1 when unknown), looked up
+/// once per process: on Linux the lookup reads cgroup files, which
+/// would otherwise dominate building a configuration.
+fn available_workers() -> usize {
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 impl Default for StudyConfig {
     fn default() -> Self {
         StudyConfig {
@@ -66,7 +75,7 @@ impl Default for StudyConfig {
             // boundary months; calibration tests anchor on 2018-04.
             start: Month::ym(2012, 1),
             end: Month::ym(2018, 4),
-            workers: 4,
+            workers: available_workers(),
             faults: FaultInjector::tap_defaults(),
             scan_hosts: 4_000,
             scan_faults: ScanFaults::from_env(ScanFaults::none()),

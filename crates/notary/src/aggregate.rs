@@ -15,10 +15,11 @@
 //!   negotiation with the draft-version mix (§6.4)
 
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use tlscope_chron::Month;
 use tlscope_fingerprint::{Fingerprint, FpId, FpInterner, Sighting, SightingTracker};
-use tlscope_wire::{AeadAlg, Kx, ProtocolVersion};
+use tlscope_wire::{AeadAlg, Kx, ProtocolVersion, SuiteClasses};
 
 use crate::conn::{ClientOffer, ConnectionRecord, ServerOutcome};
 
@@ -26,6 +27,51 @@ use crate::conn::{ClientOffer, ConnectionRecord, ServerOutcome};
 /// in February 2014 (§4.0.1); fingerprint-level tracking ignores flows
 /// before this date, exactly as the paper's does.
 pub const FINGERPRINT_FIELDS_SINCE: tlscope_chron::Date = tlscope_chron::Date::ymd(2014, 2, 1);
+
+/// Fx-style multiplicative hasher for the aggregate's small integer
+/// keys: 16-bit wire code points and the fingerprint ids the program
+/// assigns. SipHash's flooding resistance is not needed for them: all
+/// 65,536 code points spread evenly under this hash, so even wire
+/// values chosen to collide stretch a probe to at most 14 groups. The
+/// offer memo, keyed by hashes of whole hellos that a sender can
+/// steer, keeps the default hasher, as the parse cache does.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct FxHasher(u64);
+
+impl FxHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn finish(&self) -> u64 {
+        // The product's well-mixed bits are the high ones; rotate some
+        // down to the low bits that pick the bucket.
+        self.0.rotate_left(26)
+    }
+}
+
+/// A `HashMap` hashed with [`FxHasher`].
+pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// Coarse negotiated-version buckets (Figure 1 series).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -57,6 +103,16 @@ impl VersionCounts {
             v if v.is_tls13_family() => self.tls13 += 1,
             _ => self.other += 1,
         }
+    }
+
+    fn add(&mut self, o: Self) {
+        self.ssl2 += o.ssl2;
+        self.ssl3 += o.ssl3;
+        self.tls10 += o.tls10;
+        self.tls11 += o.tls11;
+        self.tls12 += o.tls12;
+        self.tls13 += o.tls13;
+        self.other += o.other;
     }
 }
 
@@ -91,6 +147,16 @@ impl KxCounts {
             _ => self.other += 1,
         }
     }
+
+    fn add(&mut self, o: Self) {
+        self.rsa += o.rsa;
+        self.dhe += o.dhe;
+        self.ecdhe += o.ecdhe;
+        self.dh += o.dh;
+        self.ecdh += o.ecdh;
+        self.tls13 += o.tls13;
+        self.other += o.other;
+    }
 }
 
 /// AEAD algorithm buckets (Figures 9 and 10).
@@ -109,14 +175,22 @@ pub struct AeadCounts {
 }
 
 impl AeadCounts {
-    fn bump(&mut self, alg: AeadAlg) {
+    fn slot(&mut self, alg: AeadAlg) -> &mut u64 {
         match alg {
-            AeadAlg::Aes128Gcm => self.aes128gcm += 1,
-            AeadAlg::Aes256Gcm => self.aes256gcm += 1,
-            AeadAlg::ChaCha20Poly1305 => self.chacha += 1,
-            AeadAlg::AesCcm => self.ccm += 1,
-            AeadAlg::Other => self.other += 1,
+            AeadAlg::Aes128Gcm => &mut self.aes128gcm,
+            AeadAlg::Aes256Gcm => &mut self.aes256gcm,
+            AeadAlg::ChaCha20Poly1305 => &mut self.chacha,
+            AeadAlg::AesCcm => &mut self.ccm,
+            AeadAlg::Other => &mut self.other,
         }
+    }
+
+    fn add(&mut self, o: Self) {
+        self.aes128gcm += o.aes128gcm;
+        self.aes256gcm += o.aes256gcm;
+        self.chacha += o.chacha;
+        self.ccm += o.ccm;
+        self.other += o.other;
     }
 
     /// Total AEAD count.
@@ -139,11 +213,17 @@ pub struct PositionMean {
 }
 
 impl PositionMean {
-    fn add(&mut self, pos: Option<f64>) {
-        if let Some(p) = pos {
-            self.sum_micro += (p * 1e6).round() as u64;
-            self.n += 1;
-        }
+    /// The mean of one observation, or of none.
+    fn of(pos: Option<f64>) -> Self {
+        pos.map_or_else(Self::default, |p| PositionMean {
+            sum_micro: (p * 1e6).round() as u64,
+            n: 1,
+        })
+    }
+
+    fn add(&mut self, o: Self) {
+        self.sum_micro += o.sum_micro;
+        self.n += o.n;
     }
 
     /// Raw accumulator parts `(sum_micro, n)` — lossless, for exact
@@ -187,15 +267,120 @@ pub struct FpClassFlags {
 }
 
 impl FpClassFlags {
-    fn from_offer(offer: &ClientOffer) -> Self {
+    fn from_classes(any: &SuiteClasses) -> Self {
         FpClassFlags {
-            rc4: offer.offers(|c| c.is_rc4()),
-            cbc: offer.offers(|c| c.is_cbc()),
-            aead: offer.offers(|c| c.is_aead()),
-            des: offer.offers(|c| c.is_des()),
-            tdes: offer.offers(|c| c.is_3des()),
-            null: offer.offers(|c| c.is_null_encryption()),
-            anon: offer.offers(|c| c.is_anon()),
+            rc4: any.rc4,
+            cbc: any.cbc,
+            aead: any.aead,
+            des: any.des,
+            tdes: any.tdes,
+            null: any.null_enc,
+            anon: any.anon,
+        }
+    }
+}
+
+/// Entries the offer memo holds before it is emptied and refilled.
+const OFFER_MEMO_CAPACITY: usize = 1 << 14;
+
+/// What the fold reads from a client offer that is the same for every
+/// connection carrying it. Offers with a [`ClientOffer::offer_key`]
+/// share one memoised copy per aggregate; keyless offers build theirs
+/// on the stack. Both then go through [`OfferFacts::apply`].
+#[derive(Debug, Clone, Copy)]
+struct OfferFacts {
+    /// Union of the offered suites' classes (`offers()` semantics).
+    any: SuiteClasses,
+    /// 1 for each AEAD algorithm offered, 0 otherwise.
+    aead_algs: AeadCounts,
+    /// First-offer positions: aead, cbc, rc4, des, 3des.
+    pos: [PositionMean; 5],
+    heartbeat: bool,
+    tls13: bool,
+    /// Interned fingerprint, filled in by the first connection dated
+    /// on or after [`FINGERPRINT_FIELDS_SINCE`].
+    fp: Option<FpId>,
+}
+
+impl OfferFacts {
+    /// One pass over the suite list, one registry lookup per suite.
+    fn of(offer: &ClientOffer) -> Self {
+        let mut any = SuiteClasses::default();
+        let mut aead_algs = AeadCounts::default();
+        // First-hit real index per position class: aead cbc rc4 des 3des.
+        let mut pos_hit = [None::<usize>; 5];
+        let mut real = 0usize;
+        for c in offer.suites.iter().copied() {
+            // `offers()` semantics: every suite, GREASE included
+            // (GREASE/SCSV/unregistered values are in no class).
+            let cl = c.classes();
+            any.rc4 |= cl.rc4;
+            any.cbc |= cl.cbc;
+            any.aead |= cl.aead;
+            any.des |= cl.des;
+            any.tdes |= cl.tdes;
+            any.export |= cl.export;
+            any.anon |= cl.anon;
+            any.null_enc |= cl.null_enc;
+            any.forward_secret |= cl.forward_secret;
+            if let Some(alg) = cl.aead_alg {
+                *aead_algs.slot(alg) = 1;
+            }
+            // `first_position()` semantics: GREASE/SCSV entries count
+            // for neither position nor the denominator.
+            if tlscope_wire::is_grease(c.0) || c.is_signaling() {
+                continue;
+            }
+            for (hit, member) in pos_hit
+                .iter_mut()
+                .zip([cl.aead, cl.cbc, cl.rc4, cl.des, cl.tdes])
+            {
+                if hit.is_none() && member {
+                    *hit = Some(real);
+                }
+            }
+            real += 1;
+        }
+        // Identical to `first_position`: `i as f64 / real as f64` (a
+        // hit implies `real > 0`).
+        let pos = pos_hit.map(|hit| PositionMean::of(hit.map(|i| i as f64 / real as f64)));
+        OfferFacts {
+            any,
+            aead_algs,
+            pos,
+            heartbeat: offer.heartbeat,
+            tls13: offer.versions.iter().any(|v| v.is_tls13_family()),
+            fp: None,
+        }
+    }
+
+    /// Count one connection carrying this offer. The extension and
+    /// supported_versions lists are read from the connection's own
+    /// offer; they are the same for every connection with its key.
+    fn apply(&self, stats: &mut MonthlyStats, offer: &ClientOffer) {
+        let any = &self.any;
+        stats.adv_rc4 += u64::from(any.rc4);
+        stats.adv_cbc += u64::from(any.cbc);
+        stats.adv_aead += u64::from(any.aead);
+        stats.adv_des += u64::from(any.des);
+        stats.adv_3des += u64::from(any.tdes);
+        stats.adv_export += u64::from(any.export);
+        stats.adv_anon += u64::from(any.anon);
+        stats.adv_null += u64::from(any.null_enc);
+        stats.adv_fs += u64::from(any.forward_secret);
+        stats.adv_heartbeat += u64::from(self.heartbeat);
+        stats.adv_tls13 += u64::from(self.tls13);
+        stats.adv_aead_alg.add(self.aead_algs);
+        stats.pos_aead.add(self.pos[0]);
+        stats.pos_cbc.add(self.pos[1]);
+        stats.pos_rc4.add(self.pos[2]);
+        stats.pos_des.add(self.pos[3]);
+        stats.pos_3des.add(self.pos[4]);
+        for v in &offer.supported_versions_raw {
+            *stats.supported_versions_values.entry(*v).or_insert(0) += 1;
+        }
+        for t in &offer.extension_types {
+            *stats.adv_extensions.entry(*t).or_insert(0) += 1;
         }
     }
 }
@@ -245,7 +430,7 @@ pub struct MonthlyStats {
     /// Negotiated AEAD algorithms.
     pub neg_aead_alg: AeadCounts,
     /// Negotiated curve counts by wire id.
-    pub curves: HashMap<u16, u64>,
+    pub curves: FxHashMap<u16, u64>,
     /// Heartbeat negotiated (offered + echoed, §5.4).
     pub heartbeat_negotiated: u64,
 
@@ -274,10 +459,10 @@ pub struct MonthlyStats {
     /// Advertised AEAD algorithms (connection-weighted).
     pub adv_aead_alg: AeadCounts,
     /// supported_versions values seen (wire value → connections).
-    pub supported_versions_values: HashMap<u16, u64>,
+    pub supported_versions_values: FxHashMap<u16, u64>,
     /// Connections advertising each extension type (§9's RIE and
     /// Encrypt-then-MAC tracking, SNI/EMS adoption, ...).
-    pub adv_extensions: HashMap<u16, u64>,
+    pub adv_extensions: FxHashMap<u16, u64>,
 
     /// Mean first-offer positions per class.
     pub pos_aead: PositionMean,
@@ -292,7 +477,7 @@ pub struct MonthlyStats {
 
     /// Distinct fingerprints seen this month with their class flags,
     /// keyed by the owning aggregate's interned fingerprint id.
-    pub fp_flags: HashMap<FpId, FpClassFlags>,
+    pub fp_flags: FxHashMap<FpId, FpClassFlags>,
 }
 
 impl MonthlyStats {
@@ -359,6 +544,9 @@ pub struct NotaryAggregate {
     /// Connections recovered by prefix salvage after tap damage
     /// (ingested normally; this counter only sizes the degradation).
     pub salvaged: u64,
+    /// Per-offer facts by [`ClientOffer::offer_key`]. A cache, not
+    /// state: equality, merge and checkpoints never read it.
+    offer_memo: HashMap<u64, OfferFacts>,
 }
 
 impl NotaryAggregate {
@@ -380,16 +568,24 @@ impl NotaryAggregate {
         }
 
         if let Some(offer) = &rec.client {
-            Self::ingest_offer(stats, offer);
+            let mut keyless;
+            let facts = match offer.offer_key {
+                Some(key) => self
+                    .offer_memo
+                    .entry(key)
+                    .or_insert_with(|| OfferFacts::of(offer)),
+                None => {
+                    keyless = OfferFacts::of(offer);
+                    &mut keyless
+                }
+            };
+            facts.apply(stats, offer);
             if rec.date >= FINGERPRINT_FIELDS_SINCE {
-                // A repeat fingerprint is a hash of the id64 and a u32
-                // table hit — the clone runs only on first sight. The
-                // parse cache memoises the id64 alongside the offer,
-                // so cached flows skip even the rehash.
-                let id64 = offer.fp_id64.unwrap_or_else(|| offer.fingerprint.id64());
-                let fp = self
-                    .interner
-                    .intern_hashed(id64, || offer.fingerprint.clone());
+                let interner = &mut self.interner;
+                let fp = *facts.fp.get_or_insert_with(|| {
+                    let id64 = offer.fp_id64.unwrap_or_else(|| offer.fingerprint.id64());
+                    interner.intern_hashed(id64, || offer.fingerprint.clone())
+                });
                 self.sightings.observe(fp, rec.date, 1);
                 if self.fp_counts.len() <= fp.index() {
                     self.fp_counts.resize(fp.index() + 1, 0);
@@ -398,7 +594,10 @@ impl NotaryAggregate {
                 stats
                     .fp_flags
                     .entry(fp)
-                    .or_insert_with(|| FpClassFlags::from_offer(offer));
+                    .or_insert_with(|| FpClassFlags::from_classes(&facts.any));
+            }
+            if self.offer_memo.len() > OFFER_MEMO_CAPACITY {
+                self.offer_memo.clear();
             }
         }
 
@@ -409,154 +608,32 @@ impl NotaryAggregate {
             ServerOutcome::Answered(ans) => {
                 stats.answered += 1;
                 stats.neg_version.bump(ans.version);
-                let c = ans.cipher;
-                if c.is_rc4() {
-                    stats.neg_rc4 += 1;
-                }
-                if c.is_cbc() {
-                    stats.neg_cbc += 1;
-                }
-                if c.is_aead() {
-                    stats.neg_aead += 1;
-                }
-                if c.is_null_encryption() {
-                    stats.neg_null += 1;
-                }
-                if c.is_null_null() {
-                    stats.neg_null_null += 1;
-                }
-                if c.is_3des() {
-                    stats.neg_3des += 1;
-                }
-                if c.is_des() {
-                    stats.neg_des += 1;
-                }
-                if c.is_export() {
-                    stats.neg_export += 1;
-                }
-                if c.is_anon() {
-                    stats.neg_anon += 1;
-                }
-                if c.is_forward_secret() {
-                    stats.neg_fs += 1;
-                }
-                stats.neg_kx.bump(c.kx());
-                if let Some(alg) = c.aead_alg() {
-                    stats.neg_aead_alg.bump(alg);
+                let cl = ans.cipher.classes();
+                stats.neg_rc4 += u64::from(cl.rc4);
+                stats.neg_cbc += u64::from(cl.cbc);
+                stats.neg_aead += u64::from(cl.aead);
+                stats.neg_null += u64::from(cl.null_enc);
+                stats.neg_null_null += u64::from(ans.cipher.is_null_null());
+                stats.neg_3des += u64::from(cl.tdes);
+                stats.neg_des += u64::from(cl.des);
+                stats.neg_export += u64::from(cl.export);
+                stats.neg_anon += u64::from(cl.anon);
+                stats.neg_fs += u64::from(cl.forward_secret);
+                stats.neg_kx.bump(cl.kx);
+                if let Some(alg) = cl.aead_alg {
+                    *stats.neg_aead_alg.slot(alg) += 1;
                 }
                 if let Some(curve) = ans.curve {
                     *stats.curves.entry(curve.0).or_insert(0) += 1;
                 }
-                if ans.heartbeat {
-                    stats.heartbeat_negotiated += 1;
-                }
+                stats.heartbeat_negotiated += u64::from(ans.heartbeat);
+                // Checked per connection against its own suites: the
+                // GREASE values in a memoised offer vary by connection.
                 if let Some(offer) = &rec.client {
-                    let offered = offer.suites.contains(&ans.cipher);
-                    if !offered {
-                        stats.neg_unoffered += 1;
-                    }
+                    stats.neg_unoffered += u64::from(!offer.suites.contains(&ans.cipher));
                 }
             }
         }
-    }
-
-    fn ingest_offer(stats: &mut MonthlyStats, offer: &ClientOffer) {
-        // One fused pass over the suite list replaces the former
-        // nine `offers()` scans, AEAD-algorithm scan, and five
-        // `first_position` scans. Each suite is classified along every
-        // axis with a single registry lookup (`classes()`); the
-        // arithmetic matches those helpers exactly, so the fold stays
-        // bit-identical to the multi-pass version.
-        let mut any = tlscope_wire::SuiteClasses::default();
-        let mut seen = [false; 5];
-        // First-hit real index per position class: aead cbc rc4 des 3des.
-        let mut pos_hit = [None::<usize>; 5];
-        let mut real = 0usize;
-        for c in offer.suites.iter().copied() {
-            // `offers()` semantics: every suite, GREASE included
-            // (GREASE/SCSV/unregistered values are in no class).
-            let cl = c.classes();
-            any.rc4 |= cl.rc4;
-            any.cbc |= cl.cbc;
-            any.aead |= cl.aead;
-            any.des |= cl.des;
-            any.tdes |= cl.tdes;
-            any.export |= cl.export;
-            any.anon |= cl.anon;
-            any.null_enc |= cl.null_enc;
-            any.forward_secret |= cl.forward_secret;
-            // Connection-weighted advertised AEAD algorithms (one
-            // count per algorithm present in the offer).
-            if let Some(alg) = cl.aead_alg {
-                let idx = match alg {
-                    AeadAlg::Aes128Gcm => 0,
-                    AeadAlg::Aes256Gcm => 1,
-                    AeadAlg::ChaCha20Poly1305 => 2,
-                    AeadAlg::AesCcm => 3,
-                    AeadAlg::Other => 4,
-                };
-                if !seen[idx] {
-                    seen[idx] = true;
-                    stats.adv_aead_alg.bump(alg);
-                }
-            }
-            // `first_position()` semantics: GREASE/SCSV entries count
-            // for neither position nor the denominator.
-            if tlscope_wire::is_grease(c.0) || c.is_signaling() {
-                continue;
-            }
-            if pos_hit[0].is_none() && cl.aead {
-                pos_hit[0] = Some(real);
-            }
-            if pos_hit[1].is_none() && cl.cbc {
-                pos_hit[1] = Some(real);
-            }
-            if pos_hit[2].is_none() && cl.rc4 {
-                pos_hit[2] = Some(real);
-            }
-            if pos_hit[3].is_none() && cl.des {
-                pos_hit[3] = Some(real);
-            }
-            if pos_hit[4].is_none() && cl.tdes {
-                pos_hit[4] = Some(real);
-            }
-            real += 1;
-        }
-        stats.adv_rc4 += u64::from(any.rc4);
-        stats.adv_cbc += u64::from(any.cbc);
-        stats.adv_aead += u64::from(any.aead);
-        stats.adv_des += u64::from(any.des);
-        stats.adv_3des += u64::from(any.tdes);
-        stats.adv_export += u64::from(any.export);
-        stats.adv_anon += u64::from(any.anon);
-        stats.adv_null += u64::from(any.null_enc);
-        stats.adv_fs += u64::from(any.forward_secret);
-        if offer.heartbeat {
-            stats.adv_heartbeat += 1;
-        }
-        if offer.versions.iter().any(|v| v.is_tls13_family()) {
-            stats.adv_tls13 += 1;
-        }
-        for v in &offer.supported_versions_raw {
-            *stats.supported_versions_values.entry(*v).or_insert(0) += 1;
-        }
-        for t in &offer.extension_types {
-            *stats.adv_extensions.entry(*t).or_insert(0) += 1;
-        }
-        // Identical to `first_position`: `i as f64 / real as f64`,
-        // `None` when no real suite exists.
-        let frac = |hit: Option<usize>| {
-            if real == 0 {
-                None
-            } else {
-                hit.map(|i| i as f64 / real as f64)
-            }
-        };
-        stats.pos_aead.add(frac(pos_hit[0]));
-        stats.pos_cbc.add(frac(pos_hit[1]));
-        stats.pos_rc4.add(frac(pos_hit[2]));
-        stats.pos_des.add(frac(pos_hit[3]));
-        stats.pos_3des.add(frac(pos_hit[4]));
     }
 
     /// Record a flow that failed extraction.
@@ -643,15 +720,7 @@ impl NotaryAggregate {
             mine.missing_server += stats.missing_server;
             mine.garbled_server += stats.garbled_server;
             mine.answered += stats.answered;
-            let v = &mut mine.neg_version;
-            let o = stats.neg_version;
-            v.ssl2 += o.ssl2;
-            v.ssl3 += o.ssl3;
-            v.tls10 += o.tls10;
-            v.tls11 += o.tls11;
-            v.tls12 += o.tls12;
-            v.tls13 += o.tls13;
-            v.other += o.other;
+            mine.neg_version.add(stats.neg_version);
             mine.neg_rc4 += stats.neg_rc4;
             mine.neg_cbc += stats.neg_cbc;
             mine.neg_aead += stats.neg_aead;
@@ -663,22 +732,8 @@ impl NotaryAggregate {
             mine.neg_anon += stats.neg_anon;
             mine.neg_unoffered += stats.neg_unoffered;
             mine.neg_fs += stats.neg_fs;
-            let k = &mut mine.neg_kx;
-            let ok = stats.neg_kx;
-            k.rsa += ok.rsa;
-            k.dhe += ok.dhe;
-            k.ecdhe += ok.ecdhe;
-            k.dh += ok.dh;
-            k.ecdh += ok.ecdh;
-            k.tls13 += ok.tls13;
-            k.other += ok.other;
-            let a = &mut mine.neg_aead_alg;
-            let oa = stats.neg_aead_alg;
-            a.aes128gcm += oa.aes128gcm;
-            a.aes256gcm += oa.aes256gcm;
-            a.chacha += oa.chacha;
-            a.ccm += oa.ccm;
-            a.other += oa.other;
+            mine.neg_kx.add(stats.neg_kx);
+            mine.neg_aead_alg.add(stats.neg_aead_alg);
             for (curve, n) in stats.curves {
                 *mine.curves.entry(curve).or_insert(0) += n;
             }
@@ -694,29 +749,18 @@ impl NotaryAggregate {
             mine.adv_fs += stats.adv_fs;
             mine.adv_heartbeat += stats.adv_heartbeat;
             mine.adv_tls13 += stats.adv_tls13;
-            let a = &mut mine.adv_aead_alg;
-            let oa = stats.adv_aead_alg;
-            a.aes128gcm += oa.aes128gcm;
-            a.aes256gcm += oa.aes256gcm;
-            a.chacha += oa.chacha;
-            a.ccm += oa.ccm;
-            a.other += oa.other;
+            mine.adv_aead_alg.add(stats.adv_aead_alg);
             for (v, n) in stats.supported_versions_values {
                 *mine.supported_versions_values.entry(v).or_insert(0) += n;
             }
             for (t, n) in stats.adv_extensions {
                 *mine.adv_extensions.entry(t).or_insert(0) += n;
             }
-            mine.pos_aead.sum_micro += stats.pos_aead.sum_micro;
-            mine.pos_aead.n += stats.pos_aead.n;
-            mine.pos_cbc.sum_micro += stats.pos_cbc.sum_micro;
-            mine.pos_cbc.n += stats.pos_cbc.n;
-            mine.pos_rc4.sum_micro += stats.pos_rc4.sum_micro;
-            mine.pos_rc4.n += stats.pos_rc4.n;
-            mine.pos_des.sum_micro += stats.pos_des.sum_micro;
-            mine.pos_des.n += stats.pos_des.n;
-            mine.pos_3des.sum_micro += stats.pos_3des.sum_micro;
-            mine.pos_3des.n += stats.pos_3des.n;
+            mine.pos_aead.add(stats.pos_aead);
+            mine.pos_cbc.add(stats.pos_cbc);
+            mine.pos_rc4.add(stats.pos_rc4);
+            mine.pos_des.add(stats.pos_des);
+            mine.pos_3des.add(stats.pos_3des);
             for (fp, flags) in stats.fp_flags {
                 mine.fp_flags.entry(remap[fp.index()]).or_insert(flags);
             }
@@ -817,6 +861,7 @@ mod tests {
             },
             suites: cs,
             fp_id64: None,
+            offer_key: None,
         }
     }
 
@@ -976,6 +1021,25 @@ mod tests {
         // And a genuinely different count is still detected.
         b.ingest(&r1);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn fx_spreads_every_u16_key_evenly() {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<FxHasher>::default();
+        let hashes: Vec<u64> = (0..=u16::MAX).map(|k| build.hash_one(k)).collect();
+        for bits in 4..=16 {
+            let mut load = vec![0u32; 1 << bits];
+            for h in &hashes {
+                load[(h & ((1 << bits) - 1)) as usize] += 1;
+            }
+            let mean = 65_536 >> bits;
+            let max = *load.iter().max().unwrap();
+            assert!(
+                4 * max <= 5 * mean + 4,
+                "{bits} bits: max {max}, mean {mean}"
+            );
+        }
     }
 
     #[test]

@@ -46,6 +46,13 @@ pub struct ClientOffer {
     /// so aggregation can intern without rehashing; `None` when the
     /// offer came from a non-cached parse (SSLv2, salvage, cache off).
     pub fp_id64: Option<u64>,
+    /// Key of this hello in the parse cache: its masked hash with the
+    /// handshake length mixed in. Hellos sharing a key differ only in
+    /// bytes the cache masks, so their offers differ at most in raw
+    /// GREASE suite values, and aggregation memoises per-offer
+    /// statistics under it. `None` when the offer bypassed the cache
+    /// (SSLv2, salvage, structural anomaly, cache off).
+    pub offer_key: Option<u64>,
 }
 
 impl ClientOffer {
@@ -191,6 +198,7 @@ fn empty_offer() -> ClientOffer {
             point_formats: Vec::new(),
         },
         fp_id64: None,
+        offer_key: None,
     }
 }
 
@@ -274,6 +282,7 @@ pub fn extract_into<'s>(
             offer.fingerprint.curves.clear();
             offer.fingerprint.point_formats.clear();
             offer.fp_id64 = None;
+            offer.offer_key = None;
             rec.date = date;
             rec.month = date.month();
             rec.port = port;
@@ -531,6 +540,7 @@ fn copy_offer_from(dst: &mut ClientOffer, src: &ClientOffer) {
         .point_formats
         .clone_from(&src.fingerprint.point_formats);
     dst.fp_id64 = src.fp_id64;
+    dst.offer_key = src.offer_key;
 }
 
 fn be16(b: &[u8], off: usize) -> u16 {
@@ -674,6 +684,13 @@ fn masked_hello_scan(bytes: &[u8], grease_suites: &mut Vec<(usize, usize)>) -> O
     Some(h.finish())
 }
 
+/// [`ClientOffer::offer_key`] of a hello: the masked hash with the
+/// handshake length mixed in, mirroring the cache's hit test (hash and
+/// length must both match).
+fn offer_key(hash: u64, hs_len: usize) -> u64 {
+    hash ^ (hs_len as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
+
 /// Cache-aware variant of [`refill_client_offer`]: flows whose masked
 /// hash hits the memo skip the full parse entirely — the memoised
 /// offer is copied in place and its GREASE suite slots re-patched
@@ -722,6 +739,7 @@ fn refill_client_offer_cached(
                 .get_or_insert_with(|| Box::new(empty_offer()));
             refill_offer(fresh, &hello);
             fresh.fp_id64 = Some(fresh.fingerprint.id64());
+            fresh.offer_key = Some(offer_key(hash, bytes.len()));
             assert_eq!(
                 **fresh, *offer,
                 "parse-cache hit diverged from the full parse"
@@ -732,6 +750,7 @@ fn refill_client_offer_cached(
     let hello = ClientHelloView::parse_handshake(bytes).ok()?;
     refill_offer(offer, &hello);
     offer.fp_id64 = Some(offer.fingerprint.id64());
+    offer.offer_key = Some(offer_key(hash, bytes.len()));
     cache.stats.misses += 1;
     let entry = HelloEntry {
         hs_len: bytes.len(),
@@ -778,6 +797,7 @@ fn refill_offer(offer: &mut ClientOffer, hello: &ClientHelloView<'_>) {
     }
     offer.fingerprint.refill_from_view(hello);
     offer.fp_id64 = None;
+    offer.offer_key = None;
 }
 
 fn parse_server_flow(
@@ -1157,6 +1177,9 @@ mod tests {
         assert_eq!((stats.hits, stats.misses), (1, 1));
         // The memoised id64 matches what a fresh hash would produce.
         assert_eq!(second.fp_id64, Some(second.fingerprint.id64()));
+        // Both flows carry the same offer key.
+        assert!(first.offer_key.is_some());
+        assert_eq!(first.offer_key, second.offer_key);
         // GREASE-stripped features identical; raw suites carry each
         // flow's own GREASE draw.
         assert_eq!(first.fingerprint, second.fingerprint);
@@ -1174,7 +1197,8 @@ mod tests {
         for _ in 0..2 {
             let rec = extract(Date::ymd(2016, 3, 1), 443, &bytes, None).unwrap();
             assert!(rec.salvaged);
-            assert_eq!(rec.client.unwrap().fp_id64, None);
+            let offer = rec.client.unwrap();
+            assert_eq!((offer.fp_id64, offer.offer_key), (None, None));
         }
         assert_eq!(parse_cache_stats(), ParseCacheStats::default());
     }

@@ -10,11 +10,9 @@
 //! it is the one part of the aggregate whose size is data-dependent;
 //! persist the study seed instead and regenerate.
 
-use std::collections::HashMap;
-
 use tlscope_chron::Month;
 
-use crate::aggregate::{MonthlyStats, NotaryAggregate, PositionMean};
+use crate::aggregate::{FxHashMap, MonthlyStats, NotaryAggregate, PositionMean};
 
 const SCALARS: &[&str] = &[
     "total",
@@ -237,7 +235,7 @@ fn apply_scalar(s: &mut MonthlyStats, key: &str, val: u64) {
     }
 }
 
-fn write_map(out: &mut String, tag: &str, map: &HashMap<u16, u64>) {
+fn write_map(out: &mut String, tag: &str, map: &FxHashMap<u16, u64>) {
     let mut entries: Vec<_> = map.iter().collect();
     entries.sort();
     for (key, val) in entries {

@@ -347,14 +347,14 @@ impl CipherSuite {
     }
 
     /// Every class membership in a single registry lookup — exactly
-    /// equivalent to calling each `is_*` predicate (and [`aead_alg`])
-    /// separately, but without repeating the binary search per
+    /// equivalent to calling each `is_*` predicate (and [`aead_alg`],
+    /// [`kx`]) separately, but without repeating the binary search per
     /// predicate. Unregistered, GREASE, and SCSV values belong to no
-    /// class. The per-connection aggregation fold classifies every
-    /// offered suite along all axes at once, which makes the repeated
-    /// lookups the hot path this amortises.
+    /// class. The aggregation fold classifies each distinct offer and
+    /// every answered suite along all axes at once.
     ///
     /// [`aead_alg`]: CipherSuite::aead_alg
+    /// [`kx`]: CipherSuite::kx
     pub fn classes(self) -> SuiteClasses {
         let Some(i) = self.info() else {
             return SuiteClasses::default();
@@ -384,6 +384,7 @@ impl CipherSuite {
                     | Kx::Tls13
             ),
             aead_alg: i.enc.aead_alg(),
+            kx: Some(i.kx),
         }
     }
 }
@@ -412,6 +413,8 @@ pub struct SuiteClasses {
     pub forward_secret: bool,
     /// [`CipherSuite::aead_alg`].
     pub aead_alg: Option<AeadAlg>,
+    /// [`CipherSuite::kx`], except that signalling values have none.
+    pub kx: Option<Kx>,
 }
 
 impl CipherSuite {
