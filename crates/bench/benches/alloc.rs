@@ -260,7 +260,7 @@ fn main() {
                 while let Some(flow) = stream.next_flow() {
                     ingest_borrowed(&mut agg, flow.date, flow.port, flow.client, flow.server);
                     flows += 1;
-                    if flows % 1024 == 0 {
+                    if flows.is_multiple_of(1024) {
                         published.store(flows, Ordering::Relaxed);
                     }
                 }

@@ -418,7 +418,7 @@ mod tests {
     #[test]
     fn roundtrip_is_bit_identical() {
         let partial = sample_partial(Month::ym(2015, 6));
-        assert!(partial.sightings.len() > 0, "sample must exercise fps");
+        assert!(!partial.sightings.is_empty(), "sample must exercise fps");
         assert!(partial.distinct_fingerprints() > 0);
         let text = to_text(&partial);
         assert!(text.starts_with(HEADER));

@@ -99,14 +99,14 @@ proptest! {
         // multiple of the stride panics the processor.
         let expected_poison = flows
             .iter()
-            .filter(|f| f.client.len() as u64 % poison_stride == 0)
+            .filter(|f| (f.client.len() as u64).is_multiple_of(poison_stride))
             .count() as u64;
         let (agg, ()) = ingest_pooled_supervised(
             &pool,
             &cfg,
             &metrics,
             move |agg: &mut NotaryAggregate, flow: &PooledFlow| {
-                if flow.client.len() as u64 % poison_stride == 0 {
+                if (flow.client.len() as u64).is_multiple_of(poison_stride) {
                     panic!("poisoned flow");
                 }
                 agg.not_tls += 1;

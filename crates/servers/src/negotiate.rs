@@ -126,8 +126,9 @@ pub fn decide(
     facts: &ClientFacts<'_>,
 ) -> Result<Decision, HandshakeFailure> {
     let version = negotiate_version(profile, facts)?;
-    let cipher = select_cipher(profile, facts, version)?;
-    let curve = select_curve(profile, facts, cipher, version);
+    let common = common_curve(profile, facts);
+    let cipher = select_cipher(profile, facts, version, common.is_some())?;
+    let curve = select_curve(cipher, version, common);
     let heartbeat = profile.heartbeat && facts.has_heartbeat && !version.is_tls13_family();
     Ok(Decision {
         version,
@@ -192,29 +193,14 @@ pub fn respond_facts(
     })
 }
 
-/// Negotiate like [`respond_facts`], but serialise the framed
-/// ServerHello handshake message straight into `w` — no [`ServerHello`]
-/// struct, no extension vector, zero heap allocations beyond `w`'s own
-/// storage. Returns the [`Decision`] so callers keep the negotiation
-/// outcome. Byte-identical to serialising
-/// `respond_facts(..)?.server_hello.write_handshake(w)` for the same
-/// inputs (pinned by `respond_facts_into_matches_respond_facts`).
-pub fn respond_facts_into(
-    profile: &ServerProfile,
-    facts: &ClientFacts<'_>,
-    server_random: [u8; 32],
-    w: &mut Writer,
-) -> Result<Decision, HandshakeFailure> {
-    let d = decide(profile, facts)?;
-    write_decision_into(&d, facts, server_random, w);
-    Ok(d)
-}
-
-/// Serialise the framed ServerHello for an already-made [`Decision`] —
-/// the write half of [`respond_facts_into`], split out so a caller
-/// holding a decision (e.g. one looking up a serialised-flight
-/// template by [`Decision::template_key`]) can build the bytes without
-/// re-running negotiation.
+/// Serialise the framed ServerHello for an already-made [`Decision`]
+/// straight into `w` — no [`ServerHello`] struct, no extension vector,
+/// zero heap allocations beyond `w`'s own storage. Byte-identical to
+/// serialising `respond_facts(..)?.server_hello.write_handshake(w)` for
+/// the same inputs (pinned by `write_decision_into_matches_respond_facts`),
+/// so a caller holding a decision (e.g. one looking up a
+/// serialised-flight template by [`Decision::template_key`]) can build
+/// the bytes without re-running negotiation.
 pub fn write_decision_into(
     d: &Decision,
     facts: &ClientFacts<'_>,
@@ -349,27 +335,35 @@ fn negotiate_version(
     Ok(chosen)
 }
 
-/// A suite is usable at `version` if it is not TLS 1.3-only below 1.3,
-/// and AEAD suites require TLS 1.2+.
+/// A suite is usable at `version` if it is a real suite (not GREASE or
+/// a signalling value), not TLS 1.3-only below 1.3, and AEAD suites
+/// require TLS 1.2+. One registry lookup.
 fn usable_at(cipher: CipherSuite, version: ProtocolVersion) -> bool {
+    if is_grease(cipher.0) || cipher.is_signaling() {
+        return false;
+    }
+    let classes = cipher.classes();
+    let tls13 = classes.kx == Some(Kx::Tls13);
     if version.is_tls13_family() {
-        return cipher.is_tls13();
+        return tls13;
     }
-    if cipher.is_tls13() {
-        return false;
-    }
-    if cipher.is_aead() && version.rank() < ProtocolVersion::Tls12.rank() {
-        return false;
-    }
-    true
+    !tls13 && (!classes.aead || version.rank() >= ProtocolVersion::Tls12.rank())
 }
 
+/// Pick the suite. `have_curve` says whether the sides share a curve,
+/// which ECDH(E) suites need.
+///
+/// Both preference modes test membership first, with a plain code-point
+/// compare, and evaluate [`usable_at`] and the curve check only on
+/// suites both sides list: both are pure functions of the code point,
+/// so this picks the same suite as filtering the offer first.
 fn select_cipher(
     profile: &ServerProfile,
     facts: &ClientFacts<'_>,
     version: ProtocolVersion,
+    have_curve: bool,
 ) -> Result<CipherSuite, HandshakeFailure> {
-    let usable = |c: &CipherSuite| !is_grease(c.0) && !c.is_signaling() && usable_at(*c, version);
+    let usable = |c: &CipherSuite| usable_at(*c, version);
     let offered = || facts.cipher_suites.iter().copied().filter(|c| usable(c));
 
     // Out-of-spec behaviours first.
@@ -404,16 +398,23 @@ fn select_cipher(
         Quirk::None => {}
     }
 
+    let acceptable = |c: &&CipherSuite| {
+        usable(c) && (have_curve || !matches!(c.kx(), Some(Kx::Ecdhe | Kx::Ecdh | Kx::EcdhAnon)))
+    };
     let choice = if profile.prefer_server_order {
         profile
             .preference
             .iter()
-            .find(|c| offered().any(|o| o == **c) && ecdhe_feasible(profile, facts, **c))
-            .copied()
+            .filter(|c| facts.cipher_suites.contains(c))
+            .find(acceptable)
     } else {
-        offered().find(|c| profile.preference.contains(c) && ecdhe_feasible(profile, facts, *c))
+        facts
+            .cipher_suites
+            .iter()
+            .filter(|c| profile.preference.contains(c))
+            .find(acceptable)
     };
-    choice.ok_or(HandshakeFailure::NoCommonCipher)
+    choice.copied().ok_or(HandshakeFailure::NoCommonCipher)
 }
 
 /// The RFC 4492 default: clients without a supported_groups extension
@@ -424,10 +425,11 @@ const RFC4492_DEFAULT_CURVES: [NamedGroup; 3] = [
     NamedGroup::SECP521R1,
 ];
 
-/// ECDHE suites need a curve both sides support.
+/// The curve both sides support, in server preference order (the
+/// common OpenSSL deployment). Independent of the suite, so computed
+/// once per decision.
 fn common_curve(profile: &ServerProfile, facts: &ClientFacts<'_>) -> Option<NamedGroup> {
     let client_curves = facts.curves.unwrap_or(&RFC4492_DEFAULT_CURVES);
-    // Server preference order wins (the common OpenSSL deployment).
     profile
         .curves
         .iter()
@@ -435,20 +437,10 @@ fn common_curve(profile: &ServerProfile, facts: &ClientFacts<'_>) -> Option<Name
         .copied()
 }
 
-fn ecdhe_feasible(profile: &ServerProfile, facts: &ClientFacts<'_>, cipher: CipherSuite) -> bool {
-    match cipher.kx() {
-        Some(Kx::Ecdhe) | Some(Kx::Ecdh) | Some(Kx::EcdhAnon) => {
-            common_curve(profile, facts).is_some()
-        }
-        _ => true,
-    }
-}
-
 fn select_curve(
-    profile: &ServerProfile,
-    facts: &ClientFacts<'_>,
     cipher: CipherSuite,
     version: ProtocolVersion,
+    common: Option<NamedGroup>,
 ) -> Option<NamedGroup> {
     let needs_curve = version.is_tls13_family()
         || matches!(
@@ -456,7 +448,7 @@ fn select_curve(
             Some(Kx::Ecdhe) | Some(Kx::Ecdh) | Some(Kx::EcdhAnon) | Some(Kx::EcdhePsk)
         );
     if needs_curve {
-        common_curve(profile, facts)
+        common
     } else {
         None
     }
@@ -588,6 +580,19 @@ mod tests {
         let n = respond(&p, &h, [0; 32]).unwrap();
         assert!(!matches!(n.cipher.kx(), Some(Kx::Ecdhe)));
         assert_eq!(n.curve, None);
+        // Client order walks the offer, whose first suite is ECDHE: the
+        // hoisted curve check must still skip it.
+        p.prefer_server_order = false;
+        let n = respond(&p, &h, [0; 32]).unwrap();
+        assert_eq!(n.cipher, CipherSuite(0x009c));
+        assert_eq!(n.curve, None);
+        // No supported_groups means the RFC 4492 NIST default, which an
+        // X25519-only server does not share.
+        p.prefer_server_order = true;
+        let h = hello(&[0xc02f, 0x009c, 0x002f], None);
+        let n = respond(&p, &h, [0; 32]).unwrap();
+        assert!(!matches!(n.cipher.kx(), Some(Kx::Ecdhe)));
+        assert_eq!(n.curve, None);
     }
 
     #[test]
@@ -673,8 +678,8 @@ mod tests {
     }
 
     #[test]
-    fn respond_facts_into_matches_respond_facts() {
-        // The borrowed writer must emit byte-identical framed
+    fn write_decision_into_matches_respond_facts() {
+        // `decide` + the borrowed writer must emit byte-identical framed
         // ServerHellos across every structural variant: classic,
         // TLS 1.3 (selected_version + key_share), heartbeat,
         // renegotiation_info, empty-block echo, and no block at all.
@@ -768,7 +773,10 @@ mod tests {
             for (name, facts) in &facts_variants {
                 let owned = respond_facts(p, facts, [3; 32]);
                 let mut w = Writer::new();
-                let into = respond_facts_into(p, facts, [3; 32], &mut w);
+                let into = decide(p, facts);
+                if let Ok(d) = &into {
+                    write_decision_into(d, facts, [3; 32], &mut w);
+                }
                 match (owned, into) {
                     (Ok(n), Ok(d)) => {
                         let mut expect = Writer::new();
