@@ -22,6 +22,10 @@
 //!   --resume-scan <dir>
 //!                  checkpoint completed scan dates into <dir> and
 //!                  resume the campaign from whatever is already there
+//!   --save <path>  write the passive aggregate to <path> after the run;
+//!                  fingerprint state is not kept, so a later --load
+//!                  reads 0 for table2 coverage and fig4
+//!   --load <path>  read a saved passive aggregate instead of simulating
 //!   --list         list experiment ids and exit
 //! ```
 
@@ -48,7 +52,9 @@ struct Options {
 
 fn usage() {
     eprintln!(
-        "usage: repro [--quick|--full] [--csv] [--stats] [--scan-stats] [--stats-json PATH] [--scan-stats-json PATH] [--width N] [--seed N] [--resume DIR] [--resume-scan DIR] [--list] <id>...|all\n\
+        "usage: repro [--quick|--full] [--csv] [--stats] [--scan-stats] [--stats-json PATH] [--scan-stats-json PATH] [--width N] [--seed N] [--resume DIR] [--resume-scan DIR] [--save PATH] [--load PATH] [--list] <id>...|all\n\
+         --save PATH writes the passive aggregate after the run and --load PATH reads one instead of simulating;\n\
+         the saved file does not keep fingerprint state, so after --load table2 coverage and fig4 read 0.\n\
          ids: {}",
         EXPERIMENT_IDS.join(" ")
     );

@@ -18,6 +18,8 @@
 //! * x25519 negotiation rising from mid-2017 to 22.2 % of connections
 //!   (§6.3.3); TLS 1.3 experiments negotiating 1.3 % by 2018-04 (§6.4)
 
+use std::cell::RefCell;
+
 use rand::rngs::SmallRng;
 use rand::RngExt;
 use tlscope_chron::Date;
@@ -109,8 +111,45 @@ pub struct CohortParams {
     pub p_no_ecc: f64,
 }
 
-/// The calibrated parameter curves.
+// `Mail` is the last `Cohort` variant.
+const COHORTS: usize = Cohort::Mail as usize + 1;
+const DAY_SLOTS: usize = 31;
+
+thread_local! {
+    /// Per-thread memo for [`params`]: one slot per `(day of month,
+    /// cohort)`, each holding the date it was computed for. Day-major,
+    /// so the six slots one date uses are adjacent.
+    static MEMO: RefCell<[Option<(Date, CohortParams)>; COHORTS * DAY_SLOTS]> =
+        const { RefCell::new([None; COHORTS * DAY_SLOTS]) };
+}
+
+/// The calibrated parameter curves, memoised per thread.
+///
+/// The curves are pure in `(cohort, date)` but cost ~20 calendar-ramp
+/// evaluations per call, and both apertures call this for every
+/// sampled server: the scanner per host, the generator per flow. A
+/// month has at most 31 distinct dates, so one slot per
+/// `(cohort, day)`, validated against the stored date, serves a whole
+/// sweep date or traffic month; a slot holding another month's date
+/// simply recomputes. The memo is per thread, allocates nothing and
+/// does not touch any RNG stream.
 pub fn params(cohort: Cohort, date: Date) -> CohortParams {
+    let idx = (date.day() as usize - 1) * COHORTS + cohort as usize;
+    MEMO.with(|memo| {
+        let mut slots = memo.borrow_mut();
+        match slots[idx] {
+            Some((d, p)) if d == date => p,
+            _ => {
+                let p = curves(cohort, date);
+                slots[idx] = Some((date, p));
+                p
+            }
+        }
+    })
+}
+
+/// The calibrated parameter curves, computed from scratch.
+fn curves(cohort: Cohort, date: Date) -> CohortParams {
     use events::*;
     let d = date;
     match cohort {
@@ -289,76 +328,13 @@ pub fn params(cohort: Cohort, date: Date) -> CohortParams {
     }
 }
 
-/// Memo for [`params`], keyed by `(cohort, day of month)`.
-///
-/// The parameter curves are pure functions of `(cohort, date)` but
-/// cost ~20 calendar-ramp evaluations per call, which dominated
-/// profile sampling on the generator hot path. A month has at most 31
-/// distinct dates, so one slot per `(cohort, day)` — validated
-/// against the stored date so a cache crossing a month boundary
-/// simply recomputes — removes the recomputation without touching the
-/// RNG stream.
-#[derive(Debug, Clone, Default)]
-pub struct ParamsCache {
-    slots: Vec<Option<(Date, CohortParams)>>,
-}
-
-const COHORTS: usize = 6;
-const DAY_SLOTS: usize = 31;
-
-impl ParamsCache {
-    fn cohort_index(cohort: Cohort) -> usize {
-        match cohort {
-            Cohort::MajorWeb => 0,
-            Cohort::Cdn => 1,
-            Cohort::LongTailWeb => 2,
-            Cohort::Enterprise => 3,
-            Cohort::Iot => 4,
-            Cohort::Mail => 5,
-        }
-    }
-
-    /// [`params`] through the memo.
-    pub fn params(&mut self, cohort: Cohort, date: Date) -> CohortParams {
-        if self.slots.is_empty() {
-            self.slots.resize(COHORTS * DAY_SLOTS, None);
-        }
-        let idx = Self::cohort_index(cohort) * DAY_SLOTS + (date.day() as usize - 1);
-        match self.slots[idx] {
-            Some((d, p)) if d == date => p,
-            _ => {
-                let p = params(cohort, date);
-                self.slots[idx] = Some((date, p));
-                p
-            }
-        }
-    }
-}
-
 fn bern(rng: &mut SmallRng, p: f64) -> bool {
     p > 0.0 && rng.random::<f64>() < p
 }
 
 /// Sample a concrete server profile from a cohort at a date.
 pub fn sample(cohort: Cohort, date: Date, rng: &mut SmallRng) -> ServerProfile {
-    sample_from_params(&params(cohort, date), cohort, rng)
-}
-
-/// [`sample`] with the parameter curves served from a memo — the
-/// generator hot path draws thousands of profiles per calendar day.
-/// Draws the identical RNG sequence as [`sample`].
-pub fn sample_cached(
-    cache: &mut ParamsCache,
-    cohort: Cohort,
-    date: Date,
-    rng: &mut SmallRng,
-) -> ServerProfile {
-    let p = cache.params(cohort, date);
-    sample_from_params(&p, cohort, rng)
-}
-
-/// The sampling core: turn drawn parameters into a concrete profile.
-fn sample_from_params(p: &CohortParams, cohort: Cohort, rng: &mut SmallRng) -> ServerProfile {
+    let p = params(cohort, date);
     let cohort_name = match cohort {
         Cohort::MajorWeb => "major-web",
         Cohort::Cdn => "cdn",
@@ -620,16 +596,107 @@ mod tests {
         assert!(q > 0.003 && q < 0.05, "quirk rate {q}");
     }
 
+    const ALL: [Cohort; COHORTS] = [
+        Cohort::MajorWeb,
+        Cohort::Cdn,
+        Cohort::LongTailWeb,
+        Cohort::Enterprise,
+        Cohort::Iot,
+        Cohort::Mail,
+    ];
+
+    /// Every field's bit pattern; the exhaustive destructure makes a
+    /// new field a compile error here rather than an unchecked one.
+    fn bits(p: CohortParams) -> [u64; 19] {
+        let CohortParams {
+            p_tls12,
+            p_tls11,
+            p_ssl3,
+            p_modern,
+            p_chacha,
+            p_aes256,
+            p_rc4_pin,
+            p_dhe,
+            p_fs,
+            p_x25519,
+            p_tls13_exp,
+            p_tls13_d18,
+            p_heartbeat,
+            p_hb_vuln,
+            p_client_order,
+            p_quirk_rc4,
+            p_quirk_3des,
+            p_odd_curves,
+            p_no_ecc,
+        } = p;
+        [
+            p_tls12,
+            p_tls11,
+            p_ssl3,
+            p_modern,
+            p_chacha,
+            p_aes256,
+            p_rc4_pin,
+            p_dhe,
+            p_fs,
+            p_x25519,
+            p_tls13_exp,
+            p_tls13_d18,
+            p_heartbeat,
+            p_hb_vuln,
+            p_client_order,
+            p_quirk_rc4,
+            p_quirk_3des,
+            p_odd_curves,
+            p_no_ecc,
+        ]
+        .map(f64::to_bits)
+    }
+
+    /// Every day of 2011–2019 through the memo, checked against the
+    /// uncached curves. Each day of the month is walked through all
+    /// 108 months and back, cohorts interleaved, so a step finds its
+    /// slot holding another month's date (empty at the start, its own
+    /// at the turn); each visit calls `params` twice, so the second is a hit.
+    fn walk_memo_against_curves() -> usize {
+        let months: Vec<(i32, u8)> = (2011..=2019)
+            .flat_map(|y| (1..=12).map(move |m| (y, m)))
+            .collect();
+        let mut checked = 0;
+        for day in 1..=31u8 {
+            let valid = months
+                .iter()
+                .filter(|&&(y, m)| day <= tlscope_chron::days_in_month(y, m));
+            for &(y, m) in valid.clone().chain(valid.rev()) {
+                let date = Date::ymd(y, m, day);
+                for cohort in ALL {
+                    let want = bits(curves(cohort, date));
+                    assert_eq!(bits(params(cohort, date)), want, "{cohort:?} {date:?}");
+                    assert_eq!(bits(params(cohort, date)), want, "{cohort:?} {date:?} hit");
+                    checked += 1;
+                }
+            }
+        }
+        checked
+    }
+
+    #[test]
+    fn params_memo_matches_curves_every_day() {
+        let days = 3287; // 2011-01-01 ..= 2019-12-31
+        assert_eq!(walk_memo_against_curves(), 2 * days * COHORTS);
+        // Fresh threads start from an empty memo of their own; one
+        // filled here must not serve them.
+        std::thread::scope(|s| {
+            let walkers: Vec<_> = (0..2).map(|_| s.spawn(walk_memo_against_curves)).collect();
+            for w in walkers {
+                assert_eq!(w.join().unwrap(), 2 * days * COHORTS);
+            }
+        });
+    }
+
     #[test]
     fn params_probabilities_in_range() {
-        for cohort in [
-            Cohort::MajorWeb,
-            Cohort::Cdn,
-            Cohort::LongTailWeb,
-            Cohort::Enterprise,
-            Cohort::Iot,
-            Cohort::Mail,
-        ] {
+        for cohort in ALL {
             for year in 2011..=2018 {
                 for month in [1u8, 7] {
                     let p = params(cohort, Date::ymd(year, month, 15));

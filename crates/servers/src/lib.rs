@@ -33,7 +33,7 @@ pub mod population;
 pub mod profile;
 pub mod ramps;
 
-pub use cohorts::{params, sample_cached, Cohort, CohortParams, ParamsCache};
+pub use cohorts::{params, Cohort, CohortParams};
 pub use negotiate::{
     decide, respond, respond_facts, write_decision_into, ClientFacts, Decision, HandshakeFailure,
     Negotiated,

@@ -121,33 +121,6 @@ impl ServerPopulation {
         }
     }
 
-    /// [`ServerPopulation::sample_for_traffic`] with the cohort
-    /// parameter curves served from a memo. Draws the identical RNG
-    /// sequence — the generator hot path samples thousands of
-    /// profiles per calendar day and the curves are pure in
-    /// `(cohort, date)`.
-    pub fn sample_for_traffic_cached(
-        &self,
-        cache: &mut crate::cohorts::ParamsCache,
-        dest: Destination,
-        date: Date,
-        rng: &mut SmallRng,
-    ) -> ServerProfile {
-        use crate::cohorts::sample_cached;
-        match dest {
-            Destination::Web => {
-                sample_cached(cache, pick_weighted(rng, &web_traffic_mix(date)), date, rng)
-            }
-            Destination::Mail => sample_cached(cache, Cohort::Mail, date, rng),
-            Destination::Enterprise => sample_cached(cache, Cohort::Enterprise, date, rng),
-            Destination::Iot => sample_cached(cache, Cohort::Iot, date, rng),
-            Destination::BankLegacy => {
-                Self::bank_legacy_profile(sample_cached(cache, Cohort::Enterprise, date, rng))
-            }
-            _ => self.sample_for_traffic(dest, date, rng),
-        }
-    }
-
     /// Sample a random responsive IPv4 host (Censys view).
     pub fn sample_host(&self, date: Date, rng: &mut SmallRng) -> ServerProfile {
         sample(pick_weighted(rng, &HOST_MIX), date, rng)
@@ -258,11 +231,7 @@ impl ServerPopulation {
     /// The RC4-preferring bank (§5.3): modern stack, but picks RC4 when
     /// offered; removing RC4 from the offer yields an AEAD suite.
     pub fn bank_legacy(date: Date, rng: &mut SmallRng) -> ServerProfile {
-        Self::bank_legacy_profile(sample(Cohort::Enterprise, date, rng))
-    }
-
-    /// Overlay the bank's RC4 quirk on a sampled enterprise profile.
-    fn bank_legacy_profile(mut p: ServerProfile) -> ServerProfile {
+        let mut p = sample(Cohort::Enterprise, date, rng);
         p.cohort = "bank-legacy";
         p.preference = preference::modern();
         p.quirk = Quirk::PreferRc4;

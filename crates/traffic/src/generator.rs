@@ -18,7 +18,7 @@ use std::time::Instant;
 use tlscope_chron::{Date, Month};
 use tlscope_clients::{catalog, Family, HelloEntropy, HelloPatches};
 use tlscope_notary::{PipelineMetrics, TappedFlow};
-use tlscope_servers::{negotiate, Destination, ParamsCache, ServerPopulation};
+use tlscope_servers::{negotiate, Destination, ServerPopulation};
 use tlscope_wire::codec::{patch_bytes, Writer};
 use tlscope_wire::exts::ext_type;
 use tlscope_wire::grease::grease_value;
@@ -235,7 +235,6 @@ impl Generator {
             handshake,
             client_buf,
             server_buf,
-            params_cache,
             templates,
             ..
         } = scratch;
@@ -288,9 +287,7 @@ impl Generator {
         // from the configuration that just emitted the hello — the
         // same information a parse of the client flow would recover,
         // without materialising a ClientHello.
-        let profile = self
-            .population
-            .sample_for_traffic_cached(params_cache, dest, date, rng);
+        let profile = self.population.sample_for_traffic(dest, date, rng);
         let mut server_random = [0u8; 32];
         for chunk in server_random.chunks_mut(8) {
             chunk.copy_from_slice(&rng.random::<u64>().to_le_bytes());
@@ -423,8 +420,6 @@ struct GenScratch {
     /// `day - 1`; empty = not yet computed). Sized by
     /// [`Generator::stream_month`].
     shares_by_day: Vec<Vec<f64>>,
-    /// Memoised cohort parameter curves for profile sampling.
-    params_cache: ParamsCache,
     era_shares: Vec<f64>,
     ciphers: Vec<CipherSuite>,
     versions: Vec<ProtocolVersion>,
