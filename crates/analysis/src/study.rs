@@ -4,15 +4,16 @@
 //! The passive measurement uses a *fused* streaming runner: the
 //! observation window is sharded by month across worker threads, and
 //! each worker generates its month's flows and aggregates them in the
-//! same loop — no month is ever materialized. Partial aggregates are
-//! merged at the end (aggregation is commutative, so the result is
-//! identical to a serial run), and every stage reports into a shared
-//! [`PipelineMetrics`].
+//! same loop — no month is ever materialized. Each completed month is
+//! merged into the shared result (aggregation is commutative, so the
+//! result is identical to a serial run) together with one flush of its
+//! counts into a shared [`PipelineMetrics`]; months a dead worker
+//! left unmerged are recomputed before the run returns.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use tlscope_obs::Progress;
 
@@ -55,6 +56,11 @@ pub struct StudyConfig {
     /// written to this directory, and dates already checkpointed there
     /// are loaded instead of re-swept (`repro --resume-scan <dir>`).
     pub scan_checkpoint_dir: Option<PathBuf>,
+    /// Test failpoint: a passive worker panics after drawing and
+    /// folding this month, before checkpointing or merging it,
+    /// exercising the runner's lost-month recomputation. `None` by
+    /// default; no `repro` flag sets it.
+    pub panic_on_month: Option<Month>,
 }
 
 /// The machine's available parallelism (1 when unknown), looked up
@@ -81,6 +87,7 @@ impl Default for StudyConfig {
             scan_faults: ScanFaults::from_env(ScanFaults::none()),
             checkpoint_dir: None,
             scan_checkpoint_dir: None,
+            panic_on_month: None,
         }
     }
 }
@@ -93,6 +100,48 @@ impl StudyConfig {
             scan_hosts: 800,
             ..StudyConfig::default()
         }
+    }
+}
+
+/// The passive runner times flow indices `63, 127, ...` of each month:
+/// every 64th flow, chosen by index so every run times the same flows.
+const TIMING_SAMPLE_MASK: u64 = 63;
+
+/// What the passive workers share: the result so far, which pending
+/// months it holds, and the first checkpoint write error.
+struct Merged {
+    agg: NotaryAggregate,
+    done: Vec<bool>,
+    error: Option<CheckpointError>,
+}
+
+/// One month's flow count and the time of its sampled flows.
+#[derive(Default)]
+struct SampledTiming {
+    flows: u64,
+    sampled: u64,
+    gen: Duration,
+    ingest: Duration,
+}
+
+impl SampledTiming {
+    /// Estimated `(generation, ingestion)` busy time of all the
+    /// month's flows: each `sampled_time × flows / sampled`. A sampled
+    /// flow that lost its core to another process counts 64 times, so
+    /// when the two estimates add up to more than `measured`, the wall
+    /// time of the loop they split, both are scaled down to fit it.
+    fn estimates(&self, measured: Duration) -> (Duration, Duration) {
+        if self.sampled == 0 {
+            return (Duration::ZERO, Duration::ZERO);
+        }
+        let scale = |t: Duration| t.as_nanos() * u128::from(self.flows) / u128::from(self.sampled);
+        let (mut gen, mut ingest) = (scale(self.gen), scale(self.ingest));
+        let cap = measured.as_nanos();
+        if gen + ingest > cap {
+            (gen, ingest) = (gen * cap / (gen + ingest), ingest * cap / (gen + ingest));
+        }
+        let nanos = |n: u128| Duration::from_nanos(u64::try_from(n).unwrap_or(u64::MAX));
+        (nanos(gen), nanos(ingest))
     }
 }
 
@@ -160,14 +209,26 @@ impl Study {
     /// produces a final aggregate bit-identical to an uninterrupted
     /// one.
     ///
-    /// A worker panic loses only that worker's current months (counted
-    /// in `metrics`); the surviving partials are still merged and
-    /// returned.
+    /// Metering is per month: a month's counts (generation ledger,
+    /// ingestion, parse failures, salvage, caches, checkpoint) reach
+    /// `metrics` in one flush, under the same lock that merges the
+    /// month into the result. Generation and ingestion times are
+    /// estimated from every 64th flow (see [`PipelineMetrics`]).
+    ///
+    /// A worker panic loses at most the month it was running: every
+    /// month it finished is already merged, and the unfinished one
+    /// left no counts behind. After the workers join, every month
+    /// missing from the result is recomputed on the calling thread —
+    /// months replay from `(seed, month)`, so the recomputed month is
+    /// the lost one bit for bit. The panic shows only in
+    /// `shards_lost`. The result is never returned with months
+    /// missing: a checkpoint write error returns `Err`, and a panic in
+    /// the recomputation propagates.
     pub fn try_run_passive_metered(
         &self,
         metrics: &PipelineMetrics,
     ) -> Result<NotaryAggregate, CheckpointError> {
-        let (mut result, completed) = match &self.cfg.checkpoint_dir {
+        let (loaded, completed) = match &self.cfg.checkpoint_dir {
             Some(dir) => {
                 let load_started = Instant::now();
                 let load = checkpoint::load_dir(dir)?;
@@ -189,9 +250,85 @@ impl Study {
         let progress = Progress::from_env("passive-study", total_months, "months", "flows");
         let workers = self.cfg.workers.max(1).min(months.len().max(1));
         let next = AtomicUsize::new(0);
-        // First checkpoint write error, reported after the scope ends
-        // (workers stop claiming months once one is recorded).
-        let ckpt_error: Mutex<Option<CheckpointError>> = Mutex::new(None);
+        let merged = Mutex::new(Merged {
+            agg: loaded,
+            done: vec![false; months.len()],
+            error: None,
+        });
+        let lock = || merged.lock().unwrap_or_else(|p| p.into_inner());
+
+        // One month, end to end: stream and fold it, checkpoint it,
+        // then flush its counts and merge it in one critical section.
+        let run_month = |i: usize, failpoint: Option<Month>| {
+            let month = months[i];
+            let month_started = Instant::now();
+            let mut partial = NotaryAggregate::new();
+            let mut timing = SampledTiming::default();
+            // Borrowed fast path: fold straight from the generator's
+            // scratch buffers into the aggregate — no flow buffer is
+            // ever owned.
+            let mut stream = self.generator.stream_month(month);
+            loop {
+                if timing.flows & TIMING_SAMPLE_MASK == TIMING_SAMPLE_MASK {
+                    let started = Instant::now();
+                    let Some(flow) = stream.next_flow() else {
+                        break;
+                    };
+                    let generated = Instant::now();
+                    ingest_borrowed(&mut partial, flow.date, flow.port, flow.client, flow.server);
+                    timing.gen += generated - started;
+                    timing.ingest += generated.elapsed();
+                    timing.sampled += 1;
+                } else {
+                    let Some(flow) = stream.next_flow() else {
+                        break;
+                    };
+                    ingest_borrowed(&mut partial, flow.date, flow.port, flow.client, flow.server);
+                }
+                timing.flows += 1;
+            }
+            let (gen_time, ingest_time) = timing.estimates(month_started.elapsed());
+            if failpoint == Some(month) {
+                // The month is drawn and folded but neither
+                // checkpointed nor flushed: it must vanish without a
+                // trace and be recomputed. (`resume_unwind` unwinds
+                // like a panic without printing one.)
+                std::panic::resume_unwind(Box::new(format!("passive failpoint: month {month}")));
+            }
+            let mut ckpt_write = None;
+            if let Some(dir) = &self.cfg.checkpoint_dir {
+                let write_started = Instant::now();
+                if let Err(e) = checkpoint::write_month(dir, month, &partial) {
+                    lock().error.get_or_insert(e);
+                    return;
+                }
+                ckpt_write = Some(write_started.elapsed());
+            }
+            let ledger = stream.ledger();
+            let mut merged = lock();
+            metrics.record_generated(ledger.flows, ledger.bytes, gen_time);
+            metrics.record_outage_dropped(ledger.outage_dropped);
+            metrics.record_duplicated(ledger.duplicated);
+            metrics.record_template(ledger.template_hits, ledger.template_misses);
+            metrics.record_dispatched(timing.flows);
+            // One month shard = one accounting batch.
+            metrics.record_batch(timing.flows, ingest_time);
+            metrics.record_timing_sampled(timing.sampled);
+            metrics.record_parse_failures(partial.not_tls, partial.garbled_client);
+            metrics.record_salvaged(partial.salvaged);
+            tlscope_notary::flush_parse_cache_metrics(metrics);
+            if let Some(elapsed) = ckpt_write {
+                metrics.observe_checkpoint_write(elapsed);
+                metrics.record_checkpoint_written();
+            }
+            let merge_started = Instant::now();
+            merged.agg.merge(partial);
+            merged.done[i] = true;
+            metrics.record_merge(merge_started.elapsed());
+            metrics.record_month(month_started.elapsed());
+            months_done.fetch_add(1, Ordering::Relaxed);
+        };
+
         let stop_heartbeat = AtomicBool::new(false);
         std::thread::scope(|scope| {
             if progress.is_enabled() {
@@ -206,79 +343,42 @@ impl Study {
             }
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
-                    scope.spawn(|| {
-                        let mut agg = NotaryAggregate::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(&month) = months.get(i) else { break };
-                            if ckpt_error
-                                .lock()
-                                .unwrap_or_else(|p| p.into_inner())
-                                .is_some()
-                            {
-                                break;
-                            }
-                            let month_started = Instant::now();
-                            let mut partial = NotaryAggregate::new();
-                            let mut flows = 0u64;
-                            let mut ingest_time = std::time::Duration::ZERO;
-                            // Borrowed fast path: fold straight from
-                            // the generator's scratch buffers into the
-                            // aggregate — no flow buffer is ever owned.
-                            let mut stream = self.generator.stream_month(month).metered(metrics);
-                            while let Some(flow) = stream.next_flow() {
-                                let started = Instant::now();
-                                ingest_borrowed(
-                                    &mut partial,
-                                    flow.date,
-                                    flow.port,
-                                    flow.client,
-                                    flow.server,
-                                );
-                                ingest_time += started.elapsed();
-                                flows += 1;
-                            }
-                            metrics.record_dispatched(flows);
-                            // One month shard = one accounting batch.
-                            metrics.record_batch(flows, ingest_time);
-                            metrics.record_parse_failures(partial.not_tls, partial.garbled_client);
-                            metrics.record_salvaged(partial.salvaged);
-                            tlscope_notary::flush_parse_cache_metrics(metrics);
-                            if let Some(dir) = &self.cfg.checkpoint_dir {
-                                let write_started = Instant::now();
-                                if let Err(e) = checkpoint::write_month(dir, month, &partial) {
-                                    ckpt_error
-                                        .lock()
-                                        .unwrap_or_else(|p| p.into_inner())
-                                        .get_or_insert(e);
-                                    break;
-                                }
-                                metrics.observe_checkpoint_write(write_started.elapsed());
-                                metrics.record_checkpoint_written();
-                            }
-                            metrics.record_month(month_started.elapsed());
-                            months_done.fetch_add(1, Ordering::Relaxed);
-                            agg.merge(partial);
+                    scope.spawn(|| loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        // Workers stop claiming months once a
+                        // checkpoint write has failed.
+                        if i >= months.len() || lock().error.is_some() {
+                            break;
                         }
-                        agg
+                        run_month(i, self.cfg.panic_on_month);
                     })
                 })
                 .collect();
             for h in handles {
-                match h.join() {
-                    Ok(partial) => {
-                        let started = Instant::now();
-                        result.merge(partial);
-                        metrics.record_merge(started.elapsed());
-                    }
-                    Err(_) => metrics.record_shard_lost(),
+                if h.join().is_err() {
+                    metrics.record_shard_lost();
                 }
             }
             stop_heartbeat.store(true, Ordering::Release);
         });
-        match ckpt_error.into_inner().unwrap_or_else(|p| p.into_inner()) {
+        // Recovery pass: recompute on this thread, with the failpoint
+        // cleared, every month a dead worker left unmerged (none once
+        // a checkpoint write has failed: that run returns the error).
+        for i in 0..months.len() {
+            let state = lock();
+            if state.error.is_some() {
+                break;
+            }
+            let missing = !state.done[i];
+            drop(state);
+            if missing {
+                run_month(i, None);
+            }
+        }
+        let merged = merged.into_inner().unwrap_or_else(|p| p.into_inner());
+        match merged.error {
             Some(e) => Err(e),
-            None => Ok(result),
+            None => Ok(merged.agg),
         }
     }
 
@@ -617,6 +717,163 @@ mod tests {
             s.flows_ingested,
             agg.total() + agg.not_tls + agg.garbled_client
         );
+        // Timing is sampled, so the estimates rest on some flows, and
+        // only on every 64th flow of a month.
         assert!(s.gen_nanos > 0 && s.ingest_nanos > 0);
+        assert!(s.timing_sampled_flows > 0);
+        assert!(s.timing_sampled_flows <= s.flows_ingested / 64);
+    }
+
+    #[test]
+    fn sampled_estimates_scale_and_never_exceed_the_measured_time() {
+        let timing = SampledTiming {
+            flows: 128,
+            sampled: 2,
+            gen: Duration::from_micros(3),
+            ingest: Duration::from_micros(1),
+        };
+        let us = Duration::from_micros;
+        assert_eq!(timing.estimates(us(1000)), (us(192), us(64)));
+        // A preempted sample: the estimates are scaled to the loop.
+        assert_eq!(timing.estimates(us(128)), (us(96), us(32)));
+        assert_eq!(
+            SampledTiming::default().estimates(us(5)),
+            (Duration::ZERO, Duration::ZERO)
+        );
+    }
+
+    /// Every exact count of a passive run. Left out: the stage times,
+    /// `shards_lost`, and the parse-cache hit/miss split and evictions,
+    /// which depend on which thread's cache saw which month first (the
+    /// number of consults, hits plus misses, does not).
+    fn passive_counts(s: &tlscope_notary::MetricsSnapshot) -> Vec<(&'static str, u64)> {
+        vec![
+            ("flows_generated", s.flows_generated),
+            ("bytes_generated", s.bytes_generated),
+            ("flows_outage_dropped", s.flows_outage_dropped),
+            ("flows_duplicated", s.flows_duplicated),
+            ("flows_dispatched", s.flows_dispatched),
+            ("flows_ingested", s.flows_ingested),
+            ("batches_ingested", s.batches_ingested),
+            ("not_tls", s.not_tls),
+            ("garbled_client", s.garbled_client),
+            ("flows_salvaged", s.flows_salvaged),
+            ("timing_sampled_flows", s.timing_sampled_flows),
+            ("batch_retries", s.batch_retries),
+            ("worker_respawns", s.worker_respawns),
+            ("flows_quarantined", s.flows_quarantined),
+            ("checkpoints_written", s.checkpoints_written),
+            ("checkpoints_loaded", s.checkpoints_loaded),
+            ("checkpoints_quarantined", s.checkpoints_quarantined),
+            ("template_hits", s.template_hits),
+            ("template_misses", s.template_misses),
+            (
+                "parse_cache_consults",
+                s.parse_cache_hits + s.parse_cache_misses,
+            ),
+        ]
+    }
+
+    /// A worker that panics mid-run loses no month: the runner
+    /// recomputes what the dead worker left unmerged, so the aggregate
+    /// and every exact count match a clean run, at any worker count,
+    /// with and without checkpoints, whichever month the panic hits.
+    #[test]
+    fn month_panic_recovers_every_month() {
+        let mut cfg = StudyConfig::quick();
+        cfg.start = Month::ym(2016, 1);
+        cfg.end = Month::ym(2016, 5);
+        cfg.connections_per_month = 150;
+        cfg.faults = FaultInjector::from_env(FaultInjector::tap_defaults());
+        let months = Study::new(cfg.clone()).months();
+        let victims = [
+            months[0],
+            months[months.len() / 2],
+            months[months.len() - 1],
+        ];
+        for workers in 1usize..=4 {
+            for checkpointed in [false, true] {
+                let run = |panic_on_month: Option<Month>| {
+                    let dir = unique_dir(&format!("panic-w{workers}"));
+                    let mut run_cfg = cfg.clone();
+                    run_cfg.workers = workers;
+                    run_cfg.panic_on_month = panic_on_month;
+                    run_cfg.checkpoint_dir = checkpointed.then(|| dir.clone());
+                    let metrics = PipelineMetrics::new();
+                    let agg = Study::new(run_cfg).try_run_passive_metered(&metrics);
+                    if checkpointed {
+                        std::fs::remove_dir_all(&dir).unwrap();
+                    }
+                    (agg.expect("no checkpoint error"), metrics.snapshot())
+                };
+                let (clean, clean_stats) = run(None);
+                assert_eq!(clean.iter_months().count(), months.len());
+                assert_eq!(clean_stats.shards_lost, 0);
+                for victim in victims {
+                    let ctx = format!("workers {workers}, checkpointed {checkpointed}, {victim}");
+                    let (agg, stats) = run(Some(victim));
+                    assert_eq!(agg, clean, "{ctx}");
+                    assert_eq!(stats.shards_lost, 1, "the failpoint fired: {ctx}");
+                    assert_eq!(
+                        passive_counts(&stats),
+                        passive_counts(&clean_stats),
+                        "{ctx}"
+                    );
+                    assert!(stats.accounting_holds(), "{ctx}");
+                }
+            }
+        }
+    }
+
+    /// The runner's generation counters are exactly the sums of what
+    /// each month's stream yields, at any worker count.
+    #[test]
+    fn metered_ledger_equals_direct_stream_counts() {
+        let mut cfg = StudyConfig::quick();
+        cfg.seed = 20_261_017;
+        cfg.start = Month::ym(2014, 11);
+        cfg.end = Month::ym(2015, 3);
+        cfg.connections_per_month = 400;
+        cfg.faults = FaultInjector::stress();
+        let study = Study::new(cfg.clone());
+        let (mut flows, mut bytes, mut sampled) = (0u64, 0u64, 0u64);
+        let (mut outage, mut duplicated, mut hits, mut misses) = (0u64, 0u64, 0u64, 0u64);
+        for month in study.months() {
+            let mut stream = study.generator().stream_month(month);
+            let mut month_flows = 0u64;
+            while let Some(flow) = stream.next_flow() {
+                month_flows += 1;
+                bytes += (flow.client.len() + flow.server.map_or(0, <[u8]>::len)) as u64;
+            }
+            flows += month_flows;
+            sampled += month_flows / 64;
+            let ledger = stream.ledger();
+            assert_eq!(ledger.flows, month_flows, "{month}");
+            outage += ledger.outage_dropped;
+            duplicated += ledger.duplicated;
+            hits += ledger.template_hits;
+            misses += ledger.template_misses;
+        }
+        assert!(outage > 0 && duplicated > 0, "stress faults fired");
+        for workers in [1usize, 2, 4] {
+            cfg.workers = workers;
+            let metrics = PipelineMetrics::new();
+            Study::new(cfg.clone()).run_passive_metered(&metrics);
+            let s = metrics.snapshot();
+            assert_eq!(
+                [
+                    s.flows_generated,
+                    s.bytes_generated,
+                    s.flows_outage_dropped,
+                    s.flows_duplicated,
+                    s.template_hits,
+                    s.template_misses,
+                    s.flows_dispatched,
+                    s.timing_sampled_flows,
+                ],
+                [flows, bytes, outage, duplicated, hits, misses, flows, sampled],
+                "workers = {workers}"
+            );
+        }
     }
 }

@@ -282,7 +282,8 @@ fn main() {
         while let Some(flow) = stream.next_flow() {
             std::hint::black_box(&flow);
         }
-        stream.template_cache_stats()
+        let ledger = stream.ledger();
+        (ledger.template_hits, ledger.template_misses)
     };
     let parse_before = parse_cache_stats();
     fused();

@@ -92,6 +92,11 @@ fn stats_surfaces_agree_across_render_and_json() {
         counters.get("batches_ingested").and_then(Json::as_u64),
         Some(render_token(&stderr, "ingest", 3))
     );
+    // `  timing  <sampled> sampled flows ...`: the sample behind the
+    // estimated stage times, nonzero on any real run.
+    let sampled = counters.get("timing_sampled_flows").and_then(Json::as_u64);
+    assert_eq!(sampled, Some(render_token(&stderr, "timing", 1)));
+    assert!(sampled > Some(0));
     // The latency section mirrors the per-batch histogram count.
     assert_eq!(
         doc.get("latency")

@@ -1,4 +1,4 @@
-//! Pipeline accounting: lock-free per-stage counters and wall-clock.
+//! Pipeline accounting: lock-free per-stage counters and timing.
 //!
 //! The paper's Notary processed 319.3 B connections on a cluster whose
 //! health was only observable through per-stage accounting (what was
@@ -8,9 +8,16 @@
 //! All methods take `&self`, so one instance can be threaded through
 //! any number of worker threads without locks.
 //!
-//! Stage wall-clocks are *CPU-summed* across workers: with `N` workers
-//! busy for a second each, a stage records `N` seconds. Divide by the
-//! elapsed wall time to read out effective parallelism.
+//! The passive study runner reports once per month, never per flow:
+//! each month keeps plain local counts and flushes them here when the
+//! month completes, so every count is exact and a month that does not
+//! complete contributes nothing. Stage times are **estimated busy
+//! time**, summed over workers (with `N` workers busy for a second
+//! each, a stage records about `N` seconds): the runner times only
+//! every 64th flow of a month and scales the sampled time by
+//! `flows / sampled`, never past the month's measured wall time.
+//! `timing_sampled_flows` counts the timed flows.
+//! Divide by the elapsed wall time to read out effective parallelism.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -23,11 +30,12 @@ use crate::pool::PoolStats;
 ///
 /// Counter groups:
 /// * **generation** — flows and wire bytes emitted by the synthetic
-///   tap, plus generator wall-clock, flows lost to tap outage windows,
-///   and tap-duplicated flows;
+///   tap, plus estimated generator busy time, flows lost to tap outage
+///   windows, and tap-duplicated flows;
 /// * **ingestion** — flows/batches through the notary, parse failures
-///   by class, records salvaged from damaged flows, plus extraction
-///   wall-clock;
+///   by class, records salvaged from damaged flows, plus estimated
+///   extraction busy time and the number of flows it was sampled
+///   from;
 /// * **recovery** — batch retries, worker respawns, and quarantined
 ///   poison flows from the supervised pipeline;
 /// * **merge / fault** — aggregate-merge wall-clock and shards lost to
@@ -47,6 +55,7 @@ pub struct PipelineMetrics {
     garbled_client: AtomicU64,
     flows_salvaged: AtomicU64,
     ingest_nanos: AtomicU64,
+    timing_sampled_flows: AtomicU64,
 
     batch_retries: AtomicU64,
     worker_respawns: AtomicU64,
@@ -87,12 +96,20 @@ impl PipelineMetrics {
         PipelineMetrics::default()
     }
 
-    /// Record one generated flow of `bytes` wire bytes.
-    pub fn record_generated(&self, bytes: u64, elapsed: Duration) {
-        self.flows_generated.fetch_add(1, Ordering::Relaxed);
+    /// Record `flows` generated flows of `bytes` wire bytes in total,
+    /// taking `elapsed` of generator busy time (measured or estimated).
+    pub fn record_generated(&self, flows: u64, bytes: u64, elapsed: Duration) {
+        self.flows_generated.fetch_add(flows, Ordering::Relaxed);
         self.bytes_generated.fetch_add(bytes, Ordering::Relaxed);
         self.gen_nanos
             .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
+    }
+
+    /// Record `flows` flows whose generation and ingestion were timed:
+    /// the sample behind the estimated stage times.
+    pub fn record_timing_sampled(&self, flows: u64) {
+        self.timing_sampled_flows
+            .fetch_add(flows, Ordering::Relaxed);
     }
 
     /// Record `flows` handed to the ingestion stage (sent, not yet
@@ -256,6 +273,7 @@ impl PipelineMetrics {
             garbled_client: self.garbled_client.load(Ordering::Relaxed),
             flows_salvaged: self.flows_salvaged.load(Ordering::Relaxed),
             ingest_nanos: self.ingest_nanos.load(Ordering::Relaxed),
+            timing_sampled_flows: self.timing_sampled_flows.load(Ordering::Relaxed),
             batch_retries: self.batch_retries.load(Ordering::Relaxed),
             worker_respawns: self.worker_respawns.load(Ordering::Relaxed),
             flows_quarantined: self.flows_quarantined.load(Ordering::Relaxed),
@@ -344,7 +362,8 @@ pub struct MetricsSnapshot {
     pub flows_generated: u64,
     /// Wire bytes emitted by the generator (client + server flows).
     pub bytes_generated: u64,
-    /// CPU-summed generator wall-clock, nanoseconds.
+    /// Generator busy time summed over workers, nanoseconds; an
+    /// estimate from `timing_sampled_flows` timed flows.
     pub gen_nanos: u64,
     /// Flows lost to tap outage windows (never dispatched).
     pub flows_outage_dropped: u64,
@@ -363,8 +382,12 @@ pub struct MetricsSnapshot {
     /// Connections salvaged from damaged flows (prefix-recovered
     /// records instead of a garbled drop).
     pub flows_salvaged: u64,
-    /// CPU-summed ingestion wall-clock, nanoseconds.
+    /// Ingestion busy time summed over workers, nanoseconds; an
+    /// estimate from `timing_sampled_flows` timed flows.
     pub ingest_nanos: u64,
+    /// Flows whose generation and ingestion were timed; `gen_nanos`
+    /// and `ingest_nanos` scale their time up to all flows.
+    pub timing_sampled_flows: u64,
     /// Bisection re-dispatches of failed (sub-)batches.
     pub batch_retries: u64,
     /// Worker respawns after caught processing panics.
@@ -431,12 +454,12 @@ fn scaled(v: f64) -> String {
 }
 
 impl MetricsSnapshot {
-    /// Generator throughput in flows per CPU-second.
+    /// Generator throughput in flows per busy second.
     pub fn gen_flows_per_sec(&self) -> f64 {
         rate(self.flows_generated, self.gen_nanos)
     }
 
-    /// Ingestion throughput in flows per CPU-second.
+    /// Ingestion throughput in flows per busy second.
     pub fn ingest_flows_per_sec(&self) -> f64 {
         rate(self.flows_ingested, self.ingest_nanos)
     }
@@ -460,10 +483,14 @@ impl MetricsSnapshot {
     /// first figure (the golden layout test pins this), so the columns
     /// line up even for the 11-character `parse-cache` label that used
     /// to swallow its separator space.
+    ///
+    /// The generate and ingest times are estimated busy time summed
+    /// over workers (`est-busy`); the `timing` row gives the number of
+    /// sampled flows the estimates rest on.
     pub fn render(&self) -> String {
         let mut out = String::from("pipeline metrics\n");
         out.push_str(&format!(
-            "  {:<11} {:>11} flows  {:>10} bytes  {:>9.3}s cpu  {:>10} flows/s\n",
+            "  {:<11} {:>11} flows  {:>10} bytes  {:>9.3}s est-busy  {:>10} flows/s\n",
             "generate",
             self.flows_generated,
             scaled(self.bytes_generated as f64),
@@ -471,12 +498,16 @@ impl MetricsSnapshot {
             scaled(self.gen_flows_per_sec()),
         ));
         out.push_str(&format!(
-            "  {:<11} {:>11} flows  {:>10} batches {:>8.3}s cpu  {:>10} flows/s\n",
+            "  {:<11} {:>11} flows  {:>10} batches {:>8.3}s est-busy  {:>10} flows/s\n",
             "ingest",
             self.flows_ingested,
             self.batches_ingested,
             self.ingest_nanos as f64 / 1e9,
             scaled(self.ingest_flows_per_sec()),
+        ));
+        out.push_str(&format!(
+            "  {:<11} {:>11} sampled flows (est-busy = sampled time x flows / sampled)\n",
+            "timing", self.timing_sampled_flows,
         ));
         out.push_str(&format!(
             "  {:<11} {:>11} not-tls {:>9} garbled {:>9} salvaged\n",
@@ -534,7 +565,7 @@ impl MetricsSnapshot {
     /// it whenever the key set changes.
     ///
     /// [`to_json`]: MetricsSnapshot::to_json
-    pub const SCHEMA: &'static str = "tlscope-pipeline-stats-v1";
+    pub const SCHEMA: &'static str = "tlscope-pipeline-stats-v2";
 
     /// Machine-readable export with empty latency sections (no
     /// histograms observed).
@@ -561,6 +592,7 @@ impl MetricsSnapshot {
             .u64("garbled_client", self.garbled_client)
             .u64("flows_salvaged", self.flows_salvaged)
             .u64("ingest_nanos", self.ingest_nanos)
+            .u64("timing_sampled_flows", self.timing_sampled_flows)
             .u64("batch_retries", self.batch_retries)
             .u64("worker_respawns", self.worker_respawns)
             .u64("flows_quarantined", self.flows_quarantined)
@@ -603,8 +635,9 @@ mod tests {
     #[test]
     fn counters_accumulate_and_snapshot() {
         let m = PipelineMetrics::new();
-        m.record_generated(120, Duration::from_nanos(500));
-        m.record_generated(80, Duration::from_nanos(500));
+        m.record_generated(1, 120, Duration::from_nanos(500));
+        m.record_generated(1, 80, Duration::from_nanos(500));
+        m.record_timing_sampled(1);
         m.record_dispatched(2);
         m.record_batch(2, Duration::from_micros(3));
         m.record_parse_failures(1, 0);
@@ -613,6 +646,7 @@ mod tests {
         assert_eq!(s.flows_generated, 2);
         assert_eq!(s.bytes_generated, 200);
         assert_eq!(s.gen_nanos, 1000);
+        assert_eq!(s.timing_sampled_flows, 1);
         assert_eq!(s.flows_ingested, 2);
         assert_eq!(s.batches_ingested, 1);
         assert_eq!(s.not_tls, 1);
@@ -701,13 +735,14 @@ mod tests {
         // old parse-cache row lacked), then an 11-wide right-aligned
         // first figure ending at column 25.
         let m = PipelineMetrics::new();
-        m.record_generated(120, Duration::from_nanos(500));
+        m.record_generated(1, 120, Duration::from_nanos(500));
         m.record_batch(1, Duration::from_micros(3));
+        m.record_timing_sampled(1);
         m.record_parse_cache(8, 3, 1);
         m.record_template(15, 2);
         let text = m.snapshot().render();
         let body: Vec<&str> = text.lines().skip(1).collect();
-        assert!(body.len() >= 11, "expected all sections rendered: {text}");
+        assert!(body.len() >= 12, "expected all sections rendered: {text}");
         for line in body {
             assert!(line.starts_with("  "), "indent: {line:?}");
             let label = &line[2..13];
@@ -733,6 +768,12 @@ mod tests {
         // The specific satellite bug: parse-cache keeps its separator.
         let pc = text.lines().find(|l| l.contains("parse-cache")).unwrap();
         assert!(pc.starts_with("  parse-cache "), "{pc:?}");
+        // Stage times are labelled as the sampled estimates they are.
+        for stage in ["  generate ", "  ingest ", "  timing "] {
+            let row = text.lines().find(|l| l.starts_with(stage)).unwrap();
+            assert!(row.contains("est-busy"), "{row:?}");
+            assert!(!row.contains("cpu"), "{row:?}");
+        }
     }
 
     #[test]
@@ -803,7 +844,7 @@ mod tests {
         // The golden key-set test: any drift in the export schema must
         // be deliberate (bump SCHEMA and update this list).
         let m = PipelineMetrics::new();
-        m.record_generated(100, Duration::from_nanos(10));
+        m.record_generated(1, 100, Duration::from_nanos(10));
         m.record_dispatched(1);
         m.record_batch(1, Duration::from_micros(1));
         let snap = m.snapshot();
@@ -832,6 +873,7 @@ mod tests {
                 "garbled_client",
                 "flows_salvaged",
                 "ingest_nanos",
+                "timing_sampled_flows",
                 "batch_retries",
                 "worker_respawns",
                 "flows_quarantined",

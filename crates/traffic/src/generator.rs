@@ -14,10 +14,9 @@
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::HashMap;
-use std::time::Instant;
 use tlscope_chron::{Date, Month};
 use tlscope_clients::{catalog, Family, HelloEntropy, HelloPatches};
-use tlscope_notary::{PipelineMetrics, TappedFlow};
+use tlscope_notary::TappedFlow;
 use tlscope_servers::{negotiate, Destination, ServerPopulation};
 use tlscope_wire::codec::{patch_bytes, Writer};
 use tlscope_wire::exts::ext_type;
@@ -91,15 +90,25 @@ pub struct Generator {
     market: Market,
     population: ServerPopulation,
     cfg: TrafficConfig,
+    /// Where each family's eras start inside one day's era-share run
+    /// of the [`DayTable`]; one entry per family plus the total.
+    era_offsets: Vec<usize>,
 }
 
 impl Generator {
     /// Build a generator over the full client catalog.
     pub fn new(cfg: TrafficConfig) -> Self {
+        let market = Market::new();
+        let mut era_offsets = Vec::with_capacity(market.families().len() + 1);
+        era_offsets.push(0);
+        for family in market.families() {
+            era_offsets.push(era_offsets[era_offsets.len() - 1] + family.eras.len());
+        }
         Generator {
-            market: Market::new(),
+            market,
             population: ServerPopulation::new(),
             cfg,
+            era_offsets,
         }
     }
 
@@ -134,13 +143,12 @@ impl Generator {
             ),
             remaining: self.cfg.connections_per_month,
             pending: None,
-            metrics: None,
             scratch: GenScratch {
-                // One (lazily filled) share-vector slot per calendar
-                // day; `shares_into` always writes one weight per
-                // family, so an empty slot unambiguously means
-                // "not yet computed".
-                shares_by_day: vec![Vec::new(); month.len_days() as usize],
+                day_table: DayTable::new(
+                    month.len_days() as usize,
+                    self.market.families().len(),
+                    self.era_offsets[self.era_offsets.len() - 1],
+                ),
                 ..GenScratch::default()
             },
         }
@@ -153,6 +161,46 @@ impl Generator {
         end: Month,
     ) -> impl Iterator<Item = (Month, Vec<ConnectionEvent>)> + '_ {
         start.iter_through(end).map(move |m| (m, self.month(m)))
+    }
+
+    /// Draw a client family and one of its eras for a connection on
+    /// `date`.
+    ///
+    /// Market and era shares are pure functions of the calendar date,
+    /// so within one month they take at most 31 distinct values. The
+    /// first draw on a day fills that day's family shares and their
+    /// sum; the first draw of a family on a day fills its era shares
+    /// and their sum. Every later draw reuses them instead of
+    /// re-interpolating ~45 anchor curves, re-running the adoption
+    /// model and re-summing both weight vectors. The cached values are
+    /// computed exactly as a per-connection computation would, so the
+    /// draws and every chosen index are unchanged.
+    fn draw_family_era(
+        &self,
+        date: Date,
+        rng: &mut SmallRng,
+        scratch: &mut GenScratch,
+    ) -> Option<(usize, usize)> {
+        let families = self.market.families();
+        let day = scratch.day_table.day_mut(date.day() as usize - 1);
+        let (head, rest) = day.split_at_mut(1 + families.len());
+        let (share_total, shares) = head.split_at_mut(1);
+        if share_total[0].is_nan() {
+            self.market.shares_into(date, &mut scratch.weights);
+            shares.copy_from_slice(&scratch.weights);
+            share_total[0] = shares.iter().sum();
+        }
+        let fam_idx = pick_index(rng, shares, share_total[0])?;
+        let (era_totals, eras) = rest.split_at_mut(families.len());
+        let eras = &mut eras[self.era_offsets[fam_idx]..self.era_offsets[fam_idx + 1]];
+        if era_totals[fam_idx].is_nan() {
+            let family = &families[fam_idx];
+            catalog::adoption_for(family).era_shares_into(family, date, &mut scratch.weights);
+            eras.copy_from_slice(&scratch.weights);
+            era_totals[fam_idx] = eras.iter().sum();
+        }
+        let era_idx = pick_index(rng, eras, era_totals[fam_idx])?;
+        Some((fam_idx, era_idx))
     }
 
     /// Generate one connection straight into `scratch`'s flow buffers.
@@ -168,20 +216,9 @@ impl Generator {
         rng: &mut SmallRng,
         scratch: &mut GenScratch,
     ) -> Option<FlowMeta> {
-        // 1. Client family + era. Market shares are a pure function of
-        // the calendar date, so within one month they take at most 31
-        // distinct values — the scratch caches one share vector per
-        // day instead of re-interpolating ~45 anchor curves per
-        // connection (which dominated generation cost).
-        let day_idx = date.day() as usize - 1;
-        if scratch.shares_by_day[day_idx].is_empty() {
-            let slot = &mut scratch.shares_by_day[day_idx];
-            self.market.shares_into(date, slot);
-        }
-        let fam_idx = pick_index(rng, &scratch.shares_by_day[day_idx])?;
+        // 1. Client family + era, drawn from the month's day table.
+        let (fam_idx, era_idx) = self.draw_family_era(date, rng, scratch)?;
         let family = &self.market.families()[fam_idx];
-        catalog::adoption_for(family).era_shares_into(family, date, &mut scratch.era_shares);
-        let era_idx = pick_index(rng, &scratch.era_shares)?;
         let era = &family.eras[era_idx];
 
         // 2. Destination.
@@ -236,6 +273,7 @@ impl Generator {
             client_buf,
             server_buf,
             templates,
+            ledger,
             ..
         } = scratch;
         // Client bytes via the template cache: for a stable-order
@@ -256,7 +294,7 @@ impl Generator {
             }
         }
         if hit {
-            templates.hits += 1;
+            ledger.template_hits += 1;
         } else {
             let mut patches = None;
             with_writer(handshake, |w| {
@@ -280,7 +318,7 @@ impl Generator {
                     },
                 );
             }
-            templates.misses += 1;
+            ledger.template_misses += 1;
         }
 
         // 4. Server side. Negotiation runs on ClientFacts assembled
@@ -337,7 +375,7 @@ impl Generator {
                     if let Some(bytes) = templates.server.get(&server_key) {
                         server_buf.extend_from_slice(bytes);
                         patch_bytes(server_buf, SERVER_RANDOM_OFFSET, &server_random);
-                        templates.hits += 1;
+                        ledger.template_hits += 1;
                     } else {
                         build_server_flight(&d, &facts, server_random, handshake, server_buf);
                         debug_assert_eq!(
@@ -345,7 +383,7 @@ impl Generator {
                             &server_random[..],
                         );
                         templates.server.insert(server_key, server_buf.clone());
-                        templates.misses += 1;
+                        ledger.template_misses += 1;
                     }
                 } else {
                     build_server_flight(&d, &facts, server_random, handshake, server_buf);
@@ -416,11 +454,11 @@ pub struct FlowRef<'a> {
 /// (the owned iterator, the channel path) copy them out.
 #[derive(Default)]
 struct GenScratch {
-    /// Normalised market shares, cached per day of the month (slot
-    /// `day - 1`; empty = not yet computed). Sized by
+    /// The month's family and era shares per day. Sized by
     /// [`Generator::stream_month`].
-    shares_by_day: Vec<Vec<f64>>,
-    era_shares: Vec<f64>,
+    day_table: DayTable,
+    /// Staging vector for one fill of the day table.
+    weights: Vec<f64>,
     ciphers: Vec<CipherSuite>,
     versions: Vec<ProtocolVersion>,
     curves: Vec<NamedGroup>,
@@ -429,6 +467,38 @@ struct GenScratch {
     server_buf: Vec<u8>,
     /// Serialised-flight templates for both sides of the tap.
     templates: TemplateCache,
+    /// The stream's counts so far.
+    ledger: GenLedger,
+}
+
+/// One month of calendar-driven model state in a single flat buffer,
+/// filled lazily by [`Generator::draw_family_era`].
+///
+/// Each day owns one contiguous block of `1 + 2F + E` values (`F`
+/// families, `E` eras over all families): the sum of the day's family
+/// shares, the `F` family shares, the `F` per-family era-share sums,
+/// then every family's era shares at its offset in
+/// `Generator::era_offsets`. A NaN sum marks the shares behind it as
+/// not yet computed; a computed sum is always finite.
+#[derive(Default)]
+struct DayTable {
+    values: Vec<f64>,
+    stride: usize,
+}
+
+impl DayTable {
+    fn new(days: usize, families: usize, eras: usize) -> Self {
+        let stride = 1 + 2 * families + eras;
+        DayTable {
+            values: vec![f64::NAN; days * stride],
+            stride,
+        }
+    }
+
+    /// The block of day `idx` (`day - 1`).
+    fn day_mut(&mut self, idx: usize) -> &mut [f64] {
+        &mut self.values[idx * self.stride..(idx + 1) * self.stride]
+    }
 }
 
 /// Byte offset of the 32-byte server random inside a record-framed
@@ -458,24 +528,6 @@ struct ClientTemplate {
 struct TemplateCache {
     client: HashMap<(usize, usize, &'static str), ClientTemplate>,
     server: HashMap<u64, Vec<u8>>,
-    hits: u64,
-    misses: u64,
-    flushed_hits: u64,
-    flushed_misses: u64,
-}
-
-impl TemplateCache {
-    /// Counter deltas since the previous call (the metered stream's
-    /// flush point).
-    fn unflushed(&mut self) -> (u64, u64) {
-        let delta = (
-            self.hits - self.flushed_hits,
-            self.misses - self.flushed_misses,
-        );
-        self.flushed_hits = self.hits;
-        self.flushed_misses = self.misses;
-        delta
-    }
 }
 
 /// Serialise the server flight for an already-made decision into
@@ -524,12 +576,34 @@ fn with_writer(buf: &mut Vec<u8>, f: impl FnOnce(&mut Writer)) {
     *buf = w.into_bytes();
 }
 
+/// Exact generation counts of one [`MonthStream`], kept as plain
+/// integers on the stream (no shared counter is touched per flow).
+/// The caller reads them with [`MonthStream::ledger`] once the unit of
+/// work is complete and flushes them into its metrics in one step.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GenLedger {
+    /// Flows yielded, duplicate copies included.
+    pub flows: u64,
+    /// Wire bytes of the yielded flows (client plus captured server).
+    pub bytes: u64,
+    /// Connections lost to tap outage windows (never yielded).
+    pub outage_dropped: u64,
+    /// Flows the tap duplicated (each duplicate is also in `flows`).
+    pub duplicated: u64,
+    /// Flights served from the template cache (client and server).
+    pub template_hits: u64,
+    /// Flights serialised in full (and cached).
+    pub template_misses: u64,
+}
+
 /// Lazy per-event iterator over one month's traffic.
 ///
-/// Created by [`Generator::stream_month`]. Attach a
-/// [`PipelineMetrics`] with [`MonthStream::metered`] to account each
-/// drawn event (flow count, wire bytes, generation wall-clock) as it
-/// is produced.
+/// Created by [`Generator::stream_month`]. The stream counts what it
+/// yields in a stream-local [`GenLedger`] (flows, wire bytes, outage
+/// drops, duplicates, template hits and misses); read it with
+/// [`MonthStream::ledger`] when the month is done. The stream never
+/// reports anywhere by itself, so a month abandoned part-way (say, by
+/// a panic) leaves no trace in shared counters.
 pub struct MonthStream<'a> {
     generator: &'a Generator,
     month: Month,
@@ -540,39 +614,32 @@ pub struct MonthStream<'a> {
     /// re-emitted from there on the next draw — no owned clone of the
     /// event is ever held.
     pending: Option<FlowMeta>,
-    metrics: Option<&'a PipelineMetrics>,
     /// Reusable per-connection buffers, including the current flow
     /// bytes.
     scratch: GenScratch,
 }
 
-impl<'a> MonthStream<'a> {
-    /// Record every drawn event into `metrics` (generation stage).
-    pub fn metered(mut self, metrics: &'a PipelineMetrics) -> Self {
-        self.metrics = Some(metrics);
-        self
-    }
-
-    /// Wire bytes of the connection currently in scratch.
-    fn scratch_wire_bytes(&self, meta: FlowMeta) -> u64 {
+impl MonthStream<'_> {
+    /// Draw the next connection into scratch and count it: the shared
+    /// core behind both the borrowed and the owned interface.
+    fn advance(&mut self) -> Option<FlowMeta> {
+        let meta = self.draw()?;
         let server = if meta.has_server {
             self.scratch.server_buf.len() as u64
         } else {
             0
         };
-        self.scratch.client_buf.len() as u64 + server
+        let ledger = &mut self.scratch.ledger;
+        ledger.flows += 1;
+        ledger.bytes += self.scratch.client_buf.len() as u64 + server;
+        Some(meta)
     }
 
-    /// Draw the next connection into scratch: the shared core behind
-    /// both the borrowed and the owned interface. Handles duplication
-    /// replay, outage windows, and metering.
-    fn advance(&mut self) -> Option<FlowMeta> {
-        let started = self.metrics.map(|_| Instant::now());
+    /// Draw the next connection into scratch, handling duplication
+    /// replay and outage windows.
+    fn draw(&mut self) -> Option<FlowMeta> {
         if let Some(meta) = self.pending.take() {
             // Second copy of a duplicated flow, replayed from scratch.
-            if let (Some(m), Some(t0)) = (self.metrics, started) {
-                m.record_generated(self.scratch_wire_bytes(meta), t0.elapsed());
-            }
             return Some(meta);
         }
         let faults = &self.generator.cfg.faults;
@@ -587,9 +654,7 @@ impl<'a> MonthStream<'a> {
                 // but was never captured. The check precedes generation
                 // — an outage costs no RNG draws, mirroring a capture
                 // process that simply is not running.
-                if let Some(m) = self.metrics {
-                    m.record_outage_dropped(1);
-                }
+                self.scratch.ledger.outage_dropped += 1;
                 continue;
             }
             if let Some(meta) =
@@ -597,38 +662,19 @@ impl<'a> MonthStream<'a> {
                     .connection_into(date, &mut self.rng, &mut self.scratch)
             {
                 if faults.duplicates(&mut self.rng) {
-                    if let Some(m) = self.metrics {
-                        m.record_duplicated(1);
-                    }
+                    self.scratch.ledger.duplicated += 1;
                     self.pending = Some(meta);
                 }
-                if let (Some(m), Some(t0)) = (self.metrics, started) {
-                    m.record_generated(self.scratch_wire_bytes(meta), t0.elapsed());
-                }
-                self.flush_template_metrics();
                 return Some(meta);
             }
         }
-        self.flush_template_metrics();
         None
     }
 
-    /// Push template-cache counter deltas into the attached metrics
-    /// (no-op on unmetered streams; cumulative totals stay readable
-    /// via [`MonthStream::template_cache_stats`] either way).
-    fn flush_template_metrics(&mut self) {
-        if let Some(m) = self.metrics {
-            let (hits, misses) = self.scratch.templates.unflushed();
-            if hits | misses != 0 {
-                m.record_template(hits, misses);
-            }
-        }
-    }
-
-    /// Cumulative template-cache (hits, misses) for this stream —
-    /// client and server flights combined.
-    pub fn template_cache_stats(&self) -> (u64, u64) {
-        (self.scratch.templates.hits, self.scratch.templates.misses)
+    /// This stream's counts so far. Exact at any point; read once the
+    /// month is drained for the month's totals.
+    pub fn ledger(&self) -> GenLedger {
+        self.scratch.ledger
     }
 
     /// Pull the next connection without allocating: the returned
@@ -672,8 +718,9 @@ impl Iterator for MonthStream<'_> {
     }
 }
 
-fn pick_index(rng: &mut SmallRng, weights: &[f64]) -> Option<usize> {
-    let total: f64 = weights.iter().sum();
+/// Draw an index with probability proportional to `weights`, whose
+/// sum `total` the caller computed (as `weights.iter().sum()`).
+fn pick_index(rng: &mut SmallRng, weights: &[f64], total: f64) -> Option<usize> {
     if total <= 0.0 {
         return None;
     }
@@ -847,18 +894,55 @@ mod tests {
     }
 
     #[test]
-    fn metered_stream_accounts_flows_and_bytes() {
+    fn stream_ledger_accounts_flows_and_bytes() {
         let g = small_gen();
-        let metrics = PipelineMetrics::new();
-        let total_bytes: u64 = g
-            .stream_month(Month::ym(2016, 3))
-            .metered(&metrics)
-            .map(|ev| ev.wire_bytes())
-            .sum();
-        let snap = metrics.snapshot();
-        assert_eq!(snap.flows_generated, 500);
-        assert_eq!(snap.bytes_generated, total_bytes);
-        assert!(snap.gen_nanos > 0);
+        let mut stream = g.stream_month(Month::ym(2016, 3));
+        let total_bytes: u64 = stream.by_ref().map(|ev| ev.wire_bytes()).sum();
+        let ledger = stream.ledger();
+        assert_eq!(ledger.flows, 500);
+        assert_eq!(ledger.bytes, total_bytes);
+        assert_eq!(ledger.outage_dropped, 0);
+        assert_eq!(ledger.duplicated, 0);
+        assert!(ledger.template_hits + ledger.template_misses > 0);
+    }
+
+    /// The day table serves exactly the draws a per-connection
+    /// recomputation of the shares would: same family, same era, same
+    /// RNG position afterwards, on every day it covers.
+    #[test]
+    fn day_table_draws_match_uncached_draws() {
+        fn uncached(g: &Generator, date: Date, rng: &mut SmallRng) -> Option<(usize, usize)> {
+            let shares = g.market.shares(date);
+            let fam_idx = pick_index(rng, &shares, shares.iter().sum())?;
+            let family = &g.market.families()[fam_idx];
+            let eras = catalog::adoption_for(family).era_shares(family, date);
+            let era_idx = pick_index(rng, &eras, eras.iter().sum())?;
+            Some((fam_idx, era_idx))
+        }
+        let g = small_gen();
+        let mut month = Month::ym(2011, 1);
+        while month <= Month::ym(2019, 12) {
+            let mut scratch = g.stream_month(month).scratch;
+            let mut days = SmallRng::seed_from_u64(month.index() as u64);
+            let seed = 0x5eed ^ month.index() as u64;
+            let (mut cached_rng, mut uncached_rng) =
+                (SmallRng::seed_from_u64(seed), SmallRng::seed_from_u64(seed));
+            for _ in 0..400 {
+                let day = days.random_range(1..=month.len_days());
+                let date = Date::new(month.year(), month.month_of_year(), day).unwrap();
+                assert_eq!(
+                    g.draw_family_era(date, &mut cached_rng, &mut scratch),
+                    uncached(&g, date, &mut uncached_rng),
+                    "{date}"
+                );
+            }
+            assert_eq!(
+                cached_rng.random::<u64>(),
+                uncached_rng.random::<u64>(),
+                "{month}"
+            );
+            month = month.add_months(5);
+        }
     }
 
     #[test]
@@ -900,14 +984,17 @@ mod tests {
             },
         };
         let g = Generator::new(cfg.clone());
-        let metrics = PipelineMetrics::new();
-        let events: Vec<ConnectionEvent> = g
-            .stream_month(Month::ym(2016, 3))
-            .metered(&metrics)
-            .collect();
-        let dropped = metrics.snapshot().flows_outage_dropped;
+        let mut stream = g.stream_month(Month::ym(2016, 3));
+        let events: Vec<ConnectionEvent> = stream.by_ref().collect();
+        let ledger = stream.ledger();
+        let dropped = ledger.outage_dropped;
         assert!(dropped > 0, "expected some outage losses");
         assert_eq!(events.len() as u64 + dropped, 1000);
+        assert_eq!(ledger.flows, events.len() as u64);
+        assert_eq!(
+            ledger.bytes,
+            events.iter().map(ConnectionEvent::wire_bytes).sum::<u64>()
+        );
         // No surviving event is dated inside an outage window.
         for ev in &events {
             assert!(!cfg.faults.in_outage(cfg.seed, ev.date));
@@ -930,15 +1017,16 @@ mod tests {
                 ..FaultInjector::none()
             },
         });
-        let metrics = PipelineMetrics::new();
-        let events: Vec<ConnectionEvent> = g
-            .stream_month(Month::ym(2016, 3))
-            .metered(&metrics)
-            .collect();
-        let snap = metrics.snapshot();
-        assert!(snap.flows_duplicated > 0, "expected some duplicates");
-        assert_eq!(events.len() as u64, 500 + snap.flows_duplicated);
-        assert_eq!(snap.flows_generated, events.len() as u64);
+        let mut stream = g.stream_month(Month::ym(2016, 3));
+        let events: Vec<ConnectionEvent> = stream.by_ref().collect();
+        let ledger = stream.ledger();
+        assert!(ledger.duplicated > 0, "expected some duplicates");
+        assert_eq!(events.len() as u64, 500 + ledger.duplicated);
+        assert_eq!(ledger.flows, events.len() as u64);
+        assert_eq!(
+            ledger.bytes,
+            events.iter().map(ConnectionEvent::wire_bytes).sum::<u64>()
+        );
         // Each duplicate is an exact adjacent copy.
         let adjacent_dups = events
             .windows(2)
@@ -946,6 +1034,6 @@ mod tests {
                 w[0].client_flow == w[1].client_flow && w[0].server_flow == w[1].server_flow
             })
             .count() as u64;
-        assert!(adjacent_dups >= snap.flows_duplicated);
+        assert!(adjacent_dups >= ledger.duplicated);
     }
 }

@@ -29,5 +29,5 @@ pub mod generator;
 pub mod market;
 
 pub use faults::FaultInjector;
-pub use generator::{ConnectionEvent, Generator, MonthStream, TrafficConfig};
+pub use generator::{ConnectionEvent, GenLedger, Generator, MonthStream, TrafficConfig};
 pub use market::{Market, ShareCurve};
